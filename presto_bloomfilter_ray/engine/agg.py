@@ -13,8 +13,9 @@ Reimplements the reference's partial/combine/output aggregation contract
   all, and no single reducer ORs 800k bitsets sequentially.
 * :func:`grouped_sketch` — the scale path for GROUP BY sketches: emits
   one serialized partial per (key, block) inside ``map_batches`` and
-  shuffles ONLY those partials (size data-independent) through a small
-  ``groupby().map_groups`` merge — Zipf-skewed keys cost the same as
+  shuffles ONLY those partials (size data-independent) through one
+  bucketed exchange (``functions.fold.exchange``) whose reducer merges
+  every key of a bucket in one call — Zipf-skewed keys cost the same as
   uniform keys because the per-key shuffle payload is #blocks × sketch
   bytes, not #rows (SURVEY §4 skew note).
 """
@@ -25,8 +26,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray.data.aggregate import AggregateFnV2
 from ray.data.block import BlockAccessor
@@ -213,6 +214,41 @@ def build_sketch(
     return acc
 
 
+def _merge_key_runs(key: str, finalize: Callable[[Sketch], Any],
+                    out_col: str):
+    """Bucket reducer of the grouped paths: ``[key, partial]`` rows in,
+    one ``[key, out_col]`` row per distinct key out (nulls are one key).
+    Keys are dictionary-coded and stable-sorted into runs, so each run's
+    envelopes merge in arrival order; the key column keeps its type."""
+
+    def merge(g: pa.Table) -> pa.Table:
+        karr = g.column(key).combine_chunks()
+        codes = np.asarray(pc.dictionary_encode(
+            karr, null_encoding="encode").indices)
+        order = np.argsort(codes, kind="stable")
+        sc = codes[order]
+        starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
+        blobs = g.column("partial").to_pylist()
+        out = []
+        for lo, hi in zip(starts, np.r_[starts[1:], len(sc)]):
+            acc = deserialize(blobs[order[lo]])
+            for i in order[lo + 1:hi]:
+                acc.merge(deserialize(blobs[i]))
+            out.append(finalize(acc))
+        keys = karr.take(pa.array(order[starts]))
+        try:
+            vals = pa.array(out)
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            # finalize returned plain Python objects (e.g. the Sketch):
+            # Ray stores an object column as its pickled extension type
+            objs = np.empty(len(out), dtype=object)
+            objs[:] = out
+            return {key: keys.to_numpy(zero_copy_only=False), out_col: objs}
+        return pa.table({key: keys, out_col: vals})
+
+    return merge
+
+
 def grouped_sketch(
     ds,
     key: str,
@@ -228,8 +264,9 @@ def grouped_sketch(
     vectorized sort+``reduceat`` split and build one partial sketch per
     (key, batch) — the analog of the reference's grouped state array
     (``BloomFilterStateFactory.java:48-91``), but distributed.
-    Stage 2: ``groupby(key)`` over the tiny partials table, merging
-    envelopes per key in ``map_groups``.
+    Stage 2: one bucketed exchange of the tiny partials table by
+    ``hash(key)``; each bucket's reducer merges the envelopes of all its
+    keys in one call (≤ 64 calls, not one per key).
 
     Returns a Dataset with columns ``[key, out_col]``.
 
@@ -274,17 +311,10 @@ def grouped_sketch(
              "partial": pa.array(out_blobs, type=pa.large_binary())}
         )
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        acc = None
-        for blob in g["partial"]:
-            sk = deserialize(bytes(blob))
-            acc = sk if acc is None else acc.merge(sk)
-        return pd.DataFrame({key: [g[key].iloc[0]], out_col: [finalize(acc)]})
+    from ..functions.fold import exchange
 
-    partials = ds.map_batches(
-        partials_per_key, batch_format="pyarrow", batch_size=batch_size
-    )
-    return partials.groupby(key).map_groups(merge_group, batch_format="pandas")
+    return exchange(ds, [key], _merge_key_runs(key, finalize, out_col),
+                    pre=partials_per_key, batch_size=batch_size)
 
 
 def salted_grouped_sketch(
@@ -317,15 +347,10 @@ def salted_grouped_sketch(
     per_salt = salted.groupby([key, "_salt"]).aggregate(
         SketchAgg(factory, on=col, alias_name="partial")
     )
+    from ..functions.fold import exchange
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        acc = None
-        for blob in g["partial"]:
-            sk = deserialize(bytes(blob))
-            acc = sk if acc is None else acc.merge(sk)
-        return pd.DataFrame({key: [g[key].iloc[0]], out_col: [finalize(acc)]})
-
-    return per_salt.groupby(key).map_groups(merge_group, batch_format="pandas")
+    return exchange(per_salt, [key],
+                    _merge_key_runs(key, finalize, out_col))
 
 
 def merge_serialized_column(ds, col: str = "sketch", fan_in: int = 32,

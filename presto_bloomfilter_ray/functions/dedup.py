@@ -1271,17 +1271,22 @@ def cap_per_key(ds, key_col: str, order_col: str, k: int):
     smallest ``order_col`` wins; pass a unique id column for stable
     results).
 
-    Scale design (100 TB): two-phase partial top-k. Phase 1 prunes
-    INSIDE ``map_batches`` — lexsort each batch by (key-hash, order),
-    run-rank, keep rank < k — so the only shuffle, the ``groupby`` of
-    phase 2, moves at most ``k × batches-containing-key`` candidate
-    rows per key instead of the corpus (a 10^8-doc host ships ~k rows
-    per input block, not 10^8). Run boundaries compare the REAL key of
-    adjacent sorted rows, so key-hash collisions cannot over-prune.
-    Carry only the columns you need into ``ds`` (id + key) and
-    semi-join the survivors back against the full table — candidate
-    rows travel whole.
+    Scale design (100 TB): two-phase partial top-k over one bucketed
+    :func:`~.fold.exchange`. Phase 1 prunes INSIDE ``map_batches`` —
+    lexsort each block by (key-hash, order), run-rank, keep rank < k —
+    so the only shuffle moves at most ``k × blocks-containing-key``
+    candidate rows per key instead of the corpus (a 10^8-doc host ships
+    ~k rows per input block, not 10^8). Phase 2 runs the SAME vectorized
+    cap once per hash bucket of the key (≤ 64 reducer calls at any host
+    count); it is exact because every row of a key lands in one bucket.
+    Run boundaries compare the REAL key of adjacent sorted rows, so
+    key-hash collisions cannot over-prune. Null keys form one group.
+    The output keeps the input schema. Carry only the columns you need
+    into ``ds`` (id + key) and semi-join the survivors back against the
+    full table — candidate rows travel whole.
     """
+    from .fold import exchange
+
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -1313,13 +1318,7 @@ def cap_per_key(ds, key_col: str, order_col: str, k: int):
         keep_idx = np.sort(order[keep_sorted])
         return b.take(pa.array(keep_idx))
 
-    pruned = ds.map_batches(local_cap, batch_format="pyarrow")
-
-    def final_cap(g):
-        return g.sort_values(order_col, kind="mergesort").head(k)
-
-    return pruned.groupby(key_col).map_groups(final_cap,
-                                              batch_format="pandas")
+    return exchange(ds, [key_col], local_cap, pre=local_cap)
 
 
 def minhash_join(a_ds, b_ds, *, threshold: float = 0.8,

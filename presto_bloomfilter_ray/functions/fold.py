@@ -24,18 +24,27 @@ This module generalizes the fold used by ``functions/graph.py``:
   collapses each block's duplicates first — a Zipf-hot key contributes
   at most one row per input block to the exchange.
 
+The fold rides on :func:`exchange`, the one bucketed exchange for
+per-key reduces: rows are tagged map-side with their key's bucket and a
+vectorized reducer runs once per non-empty bucket, never once per key.
+
 Used by: exact_dedup, dedup_lines_keep_first, connected components,
-boilerplate/substring scrubs, pair-verification folds, PageRank.
+boilerplate/substring scrubs, pair-verification folds, PageRank (all via
+``bucket_fold``); cap_per_key, grouped_sketch / salted_grouped_sketch,
+the per-key window family and snapshot_delta (via ``exchange``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["append_bucket", "bucket_fold"]
+__all__ = ["append_bucket", "bucket_fold", "exchange"]
+
+#: default bucket count of every bucketed exchange
+NUM_BUCKETS = 64
 
 #: ops supported: (polars map-side expr, polars combine-side expr)
 _OPS = {"sum", "min", "max", "count"}
@@ -78,9 +87,44 @@ def append_bucket(b: pa.Table, key_cols, num_buckets: int,
         (mixed % np.uint64(num_buckets)).astype(np.int64)))
 
 
+def exchange(ds, keys: Sequence[str],
+             fn: Callable[[pa.Table], pa.Table], *,
+             pre: Optional[Callable[[pa.Table], pa.Table]] = None,
+             num_buckets: int = NUM_BUCKETS,
+             batch_size: Optional[int] = None):
+    """Run ``fn`` once per non-empty bucket of ``hash(keys)``.
+
+    Map side: ``pre`` (an optional per-block combiner, e.g. a partial
+    top-k or a pre-fold) then :func:`append_bucket`. Reduce side: one
+    ``groupby("_b").map_groups`` over at most ``num_buckets`` groups;
+    ``fn`` gets the whole bucket without the ``_b`` column and must be
+    vectorized over the keys inside it. Every row of a key lands in one
+    bucket, so a per-key reduction inside ``fn`` is exact. Ray 2.49's
+    sort-based ``map_groups`` pays per GROUP (one task-side slice, batch
+    conversion and UDF call each); grouping by the bucket instead of the
+    raw key bounds that to ``num_buckets`` calls at any key cardinality.
+    ``fn`` must return a typed table even when its bucket filters to
+    empty, so downstream blocks share one schema.
+    """
+    keys = list(keys)
+
+    def tag(b: pa.Table) -> pa.Table:
+        if pre is not None:
+            b = pre(b)
+        return append_bucket(b, keys, num_buckets)
+
+    def reduce_bucket(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns(["_b"]))
+
+    return (ds.map_batches(tag, batch_format="pyarrow",
+                           batch_size=batch_size)
+            .groupby("_b").map_groups(reduce_bucket,
+                                      batch_format="pyarrow"))
+
+
 def bucket_fold(ds, keys: Sequence[str],
                 aggs: Sequence[Tuple[Optional[str], str, str]],
-                num_buckets: int = 64):
+                num_buckets: int = NUM_BUCKETS):
     """Exact ``groupby(keys).aggregate(...)`` via a bucket-keyed fold.
 
     ``aggs``: tuples ``(col, op, alias)`` with ``op`` in
@@ -103,14 +147,10 @@ def bucket_fold(ds, keys: Sequence[str],
     out_cols = keys + [a for _, _, a in aggs]
 
     def prefold(b: pa.Table) -> pa.Table:
-        t = pl.from_arrow(b).group_by(keys).agg(map_exprs)
-        return append_bucket(t.to_arrow(), keys, num_buckets)
+        return pl.from_arrow(b).group_by(keys).agg(map_exprs).to_arrow()
 
     def fold(g: pa.Table) -> pa.Table:
-        t = (pl.from_arrow(g.drop_columns(["_b"]))
-             .group_by(keys).agg(combine_exprs))
+        t = pl.from_arrow(g).group_by(keys).agg(combine_exprs)
         return t.select(out_cols).to_arrow()
 
-    return (ds.map_batches(prefold, batch_format="pyarrow",
-                           batch_size=None)
-            .groupby("_b").map_groups(fold, batch_format="pyarrow"))
+    return exchange(ds, keys, fold, pre=prefold, num_buckets=num_buckets)

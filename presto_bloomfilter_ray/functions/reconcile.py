@@ -109,13 +109,10 @@ def snapshot_delta(ds_old, ds_new, key_col: str, val_col: str, *,
         .union(ds_new.map_batches(tag(1), batch_format="pyarrow",
                                   batch_size=None))
 
-    from .fold import append_bucket
-
-    def bucket(b: pa.Table) -> pa.Table:
-        return append_bucket(b, [key_col], num_buckets)
+    from .fold import exchange
 
     def decide(g: pa.Table) -> pa.Table:
-        t = (pl.from_arrow(g.drop_columns(["_b"]))
+        t = (pl.from_arrow(g)
              .group_by(key_col)
              .agg(n=pl.len().cast(pl.Int64),
                   s=pl.col("_new").cast(pl.Int64).sum(),
@@ -141,6 +138,4 @@ def snapshot_delta(ds_old, ds_new, key_col: str, val_col: str, *,
             t = t.filter(pl.col("status") != "unchanged")
         return t.select([key_col, "status"]).to_arrow()
 
-    return (tagged.map_batches(bucket, batch_format="pyarrow",
-                               batch_size=None)
-            .groupby("_b").map_groups(decide, batch_format="pyarrow"))
+    return exchange(tagged, [key_col], decide, num_buckets=num_buckets)

@@ -24,26 +24,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .fold import exchange
+
 _US = 1_000_000
-
-
-def _with_bucket(ds, key_col: str, num_buckets: int):
-    """Append ``_b = mixed_hash(key) % num_buckets`` map-side.
-
-    The per-key window family groups by THIS small fixed-cardinality
-    column instead of the raw (possibly 10⁸-cardinality) key: Ray
-    2.49's sort-based reduce pays per-GROUP overhead (~100 s at 1M
-    distinct keys, PERF.md §24), while B buckets amortize it to B
-    groups and one vectorized polars ``sort + over(key)`` per bucket.
-    Exchange volume and key co-location are identical — every row of a
-    key lands in that key's bucket (the `functions/fold.py` pattern,
-    generalized to ordered windows)."""
-    from .fold import append_bucket
-
-    def add_b(b: pa.Table) -> pa.Table:
-        return append_bucket(b, [key_col], num_buckets)
-
-    return ds.map_batches(add_b, batch_format="pyarrow", batch_size=None)
 
 
 def _pl_us(t, ts_col: str):
@@ -147,14 +130,12 @@ def lag_deltas(ds, ts_col: str, key_col: str,
     sort_cols = [key_col, ts_col, *(order_cols or [])]
 
     def gaps(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(
-            sort_cols, maintain_order=True)
+        t = pl.from_arrow(g).sort(sort_cols, maintain_order=True)
         delta = (_pl_us(t, ts_col).diff().over(key_col)
                  .cast(pl.Float64) / 1e6)
         return t.with_columns(delta.alias(out_col)).to_arrow()
 
-    return (_with_bucket(ds, key_col, num_buckets)
-            .groupby("_b").map_groups(gaps, batch_format="pyarrow"))
+    return exchange(ds, [key_col], gaps, num_buckets=num_buckets)
 
 
 def transition_counts(ds, ts_col: str, key_col: str, state_col: str,
@@ -178,8 +159,7 @@ def transition_counts(ds, ts_col: str, key_col: str, state_col: str,
     sort_cols = [key_col, ts_col, *(order_cols or [])]
 
     def pairs(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(
-            sort_cols, maintain_order=True)
+        t = pl.from_arrow(g).sort(sort_cols, maintain_order=True)
         out = (t.with_columns(
                    pl.col(state_col).shift(-1).over(key_col).alias("_to"))
                .filter(pl.col("_to").is_not_null())
@@ -189,8 +169,7 @@ def transition_counts(ds, ts_col: str, key_col: str, state_col: str,
                         pl.col("_to").alias("to_state"), pl.col("n")]))
         return out.to_arrow()
 
-    return (_with_bucket(ds, key_col, num_buckets)
-            .groupby("_b").map_groups(pairs, batch_format="pyarrow")
+    return (exchange(ds, [key_col], pairs, num_buckets=num_buckets)
             .groupby(["from_state", "to_state"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -214,16 +193,14 @@ def cumulative_aggregate(ds, ts_col: str, key_col: str, value_col: str,
     sort_cols = [key_col, ts_col, *(order_cols or [])]
 
     def accumulate(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(
-            sort_cols, maintain_order=True)
+        t = pl.from_arrow(g).sort(sort_cols, maintain_order=True)
         return t.with_columns(
             pl.int_range(1, pl.len() + 1, dtype=pl.Int64)
               .over(key_col).alias("running_n"),
             pl.col(value_col).cum_sum().over(key_col).alias("running_sum"),
         ).to_arrow()
 
-    return (_with_bucket(ds, key_col, num_buckets)
-            .groupby("_b").map_groups(accumulate, batch_format="pyarrow"))
+    return exchange(ds, [key_col], accumulate, num_buckets=num_buckets)
 
 
 def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
@@ -341,8 +318,7 @@ def session_windows(ds, ts_col: str, key_col: str, gap_s: int,
     sort_cols = [key_col, ts_col, *(order_cols or [])]
 
     def sessionize(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(
-            sort_cols, maintain_order=True)
+        t = pl.from_arrow(g).sort(sort_cols, maintain_order=True)
         us = _pl_us(t, ts_col)
         new = ((us.diff().over(key_col) > gap_us)
                .fill_null(True).cast(pl.Int64))
@@ -356,5 +332,4 @@ def session_windows(ds, ts_col: str, key_col: str, gap_s: int,
                         "session_start", "session_end"]))
         return out.to_arrow()
 
-    return (_with_bucket(ds, key_col, num_buckets)
-            .groupby("_b").map_groups(sessionize, batch_format="pyarrow"))
+    return exchange(ds, [key_col], sessionize, num_buckets=num_buckets)

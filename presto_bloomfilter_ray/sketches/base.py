@@ -107,7 +107,7 @@ class Sketch:
         payload = self._payload()
         if compress and len(payload) >= self.GZIP_MIN:
             params["gz"] = 1
-            payload = gzip.compress(payload, compresslevel=1)
+            payload = gzip.compress(payload, compresslevel=1, mtime=0)
         pj = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
         if hashed:
             digest = hashlib.sha256(bytes([self.KIND]) + pj + payload).digest()

@@ -47,18 +47,17 @@ from .hashing import hash64, normalize_elements
 _SEED_HLL = 0xC2B2AE3D27D4EB4F
 
 
-def _clz64(w: np.ndarray) -> np.ndarray:
-    """Vectorized count-leading-zeros for uint64 (binary-search shifts)."""
-    n = np.zeros(w.shape, dtype=np.uint64)
-    x = w.copy()
-    for shift, mask in ((32, 0xFFFFFFFF00000000), (16, 0xFFFF000000000000),
-                        (8, 0xFF00000000000000), (4, 0xF000000000000000),
-                        (2, 0xC000000000000000), (1, 0x8000000000000000)):
-        hi = (x & np.uint64(mask)) == 0
-        n += np.where(hi, np.uint64(shift), np.uint64(0))
-        x = np.where(hi, x << np.uint64(shift), x)
-    n[w == 0] = 64
-    return n
+def _rank(h: np.ndarray, p: int) -> np.ndarray:
+    """HLL rank (1 + leading zeros of the 64-p low bits, capped at 65-p)
+    in closed form: ``65 - p - bit_length(h & (2^(64-p) - 1))``. The bit
+    length comes from ``frexp``'s exponent of each 32-bit half, which
+    converts to float64 exactly, so ranks are bit-exact."""
+    low = h & np.uint64((1 << (64 - p)) - 1)
+    hi = low >> np.uint64(32)
+    bl = np.where(hi != 0,
+                  np.frexp(hi.astype(np.float64))[1] + 32,
+                  np.frexp((low & np.uint64(0xFFFFFFFF)).astype(np.float64))[1])
+    return (65 - p - bl).astype(np.uint8)
 
 
 def _alpha(m: int) -> float:
@@ -172,10 +171,9 @@ class HyperLogLog(Sketch):
             return self
         h = hash64(ca, _SEED_HLL)
         idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        w = h << np.uint64(self.p)  # remaining 64-p bits, left-aligned
-        rank = np.minimum(_clz64(w), np.uint64(64 - self.p)) + np.uint64(1)
+        rank = _rank(h, self.p)
         if self._regs is not None:
-            np.maximum.at(self._regs, idx, rank.astype(np.uint8))
+            np.maximum.at(self._regs, idx, rank)
             return self
         codes = (idx.astype(np.uint32) << np.uint32(6)) | rank.astype(np.uint32)
         self._pending.append(codes)

@@ -156,3 +156,43 @@ def test_sketchagg_native_path_transient_combine(ray_session):
     sk = deserialize(env)
     assert all(sk.might_contain(f"v{i}") for i in range(0, 500, 37))
     assert not sk.might_contain("absent-key")
+
+
+@pytest.mark.parametrize("key", ["ki", "ks"])
+def test_grouped_sketch_key_dtype_and_envelopes_match_serial(ray_session, key):
+    """The bucketed merge keeps the key's Arrow type and yields envelopes
+    byte-identical to a serial build of each group."""
+    import ray
+    import ray.data as rd
+
+    from presto_bloomfilter_ray.engine import grouped_sketch
+
+    rng = np.random.default_rng(21)
+    n = 3000
+    ki = rng.integers(0, 40, n)
+    t = pa.table({"ki": pa.array(ki, pa.int64()),
+                  "ks": pa.array([f"k{i}" for i in ki], pa.string()),
+                  "v": pa.array([f"v{i}" for i in rng.integers(0, 500, n)])})
+    ds = rd.from_arrow(t).repartition(5)
+    for factory in (lambda: BloomFilter(1000), lambda: HyperLogLog(10)):
+        g = grouped_sketch(ds, key=key, col="v", factory=factory)
+        blocks = [b for b in ray.get(g.to_arrow_refs()) if b.num_rows]
+        assert {b.schema.field(key).type for b in blocks} == {t.schema.field(key).type}
+        got = pa.concat_tables(blocks).to_pylist()
+        assert len(got) == 40
+        for r in got:
+            vals = t.filter(pa.compute.equal(t.column(key), r[key])).column("v")
+            assert r["sketch"] == factory().update_arrow(vals).serialize(), r[key]
+
+
+def test_grouped_sketch_finalize_to_python_objects(ray_session):
+    import ray.data as rd
+
+    from presto_bloomfilter_ray.engine import grouped_sketch
+
+    ds = rd.from_items([{"k": i % 3, "v": f"x{i}"} for i in range(30)])
+    g = grouped_sketch(ds, key="k", col="v", factory=lambda: BloomFilter(100),
+                       finalize=lambda s: s)
+    rows = {r["k"]: r["sketch"] for r in g.take_all()}
+    assert set(rows) == {0, 1, 2}
+    assert isinstance(rows[1], BloomFilter) and rows[1].might_contain("x4")

@@ -79,3 +79,17 @@ def test_pickle_via_envelope():
     bf.put("robin")
     rt = pickle.loads(pickle.dumps(bf))
     assert rt.might_contain("robin")
+
+
+def test_compressed_envelope_independent_of_wall_clock(monkeypatch):
+    """gzip'd payloads carry no timestamp: the same sketch serializes to
+    the same bytes (and content hash) at any time."""
+    import time
+
+    import pyarrow as pa
+
+    bf = BloomFilter(5000).update_arrow(pa.array([f"x{i}" for i in range(100)]))
+    first = bf.serialize()
+    assert b'"gz":1' in first  # the payload is gzip'd
+    monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+    assert bf.serialize() == first

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from presto_bloomfilter_ray.functions import (
     LangId,
@@ -377,6 +378,67 @@ def test_cap_per_key(ray_session, duck):
     import pytest
     with pytest.raises(ValueError):
         cpk(ds, "host", "doc_id", k=0)
+
+
+def _cap_check(duck, t, k, n_blocks):
+    """cap_per_key over ``t`` split into ``n_blocks`` blocks equals
+    DuckDB's ``QUALIFY row_number() <= k`` and keeps the input schema."""
+    import ray.data as rd
+
+    from presto_bloomfilter_ray.functions import cap_per_key
+
+    ds = rd.from_arrow(t)
+    if n_blocks > 1:
+        ds = ds.repartition(n_blocks)
+    kept = cap_per_key(ds, "host", "doc_id", k=k).materialize()
+    duck.register("capt", t)
+    want = duck.sql(f"""
+        SELECT * FROM capt
+        QUALIFY row_number() OVER (PARTITION BY host ORDER BY doc_id) <= {k}
+    """).arrow()
+    duck.unregister("capt")
+    got = pa.concat_tables(
+        [b for b in ray.get(kept.to_arrow_refs()) if b.num_rows]
+        or [t.slice(0, 0)])
+    assert got.schema == t.schema  # no stray _b, dtypes kept
+    order = [("doc_id", "ascending")]
+    assert got.sort_by(order).equals(want.cast(t.schema).sort_by(order))
+    return got
+
+
+def _cap_table(keys, seed=3):
+    n = len(keys)
+    ids = np.random.default_rng(seed).permutation(n).astype("int64")
+    return pa.table({
+        "host": pa.array(keys, pa.string()),
+        "doc_id": pa.array(ids, pa.int64()),
+        "lang": pa.array([f"l{i % 3}" for i in range(n)], pa.large_string()),
+        "score": pa.array(np.arange(n) % 7, pa.int32()),
+    })
+
+
+def test_cap_per_key_edges_match_duckdb(ray_session, duck):
+    rng = np.random.default_rng(11)
+    keys = [None if r < 2 else f"h{r}" for r in rng.integers(0, 15, 3000)]
+    t = _cap_table(keys)
+    # null keys form one group, capped like any other
+    got = _cap_check(duck, t, 4, 5)
+    assert got.column("host").null_count == 4
+    # k >= every group: the identity set
+    assert _cap_check(duck, t, 10_000, 5).num_rows == t.num_rows
+    # empty input
+    assert _cap_check(duck, t.slice(0, 0), 3, 1).num_rows == 0
+
+
+def test_cap_per_key_zipf_hot_key_in_every_block(ray_session, duck):
+    rng = np.random.default_rng(12)
+    n = 20_000
+    keys = np.minimum(rng.zipf(1.3, n), 4_000)
+    keys[::5] = 1  # the hot key lands in every block
+    t = _cap_table([f"host{k}" for k in keys], seed=4)
+    got = _cap_check(duck, t, 3, 8)
+    counts = np.unique(keys, return_counts=True)[1]
+    assert got.num_rows == int(np.minimum(counts, 3).sum())
 
 
 def test_decontaminate_no_false_negatives(ray_session):

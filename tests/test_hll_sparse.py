@@ -116,3 +116,33 @@ def test_duplicates_do_not_grow_sparse_form():
     h._flush()
     assert h.is_sparse
     assert h._codes.size <= 100
+
+
+def _clz_rank(h, p):
+    """The binary-search count-leading-zeros rank the closed form
+    replaced: ``min(clz64(h << p), 64 - p) + 1``."""
+    w = h << np.uint64(p)
+    n = np.zeros(w.shape, dtype=np.uint64)
+    x = w.copy()
+    for shift, mask in ((32, 0xFFFFFFFF00000000), (16, 0xFFFF000000000000),
+                        (8, 0xFF00000000000000), (4, 0xF000000000000000),
+                        (2, 0xC000000000000000), (1, 0x8000000000000000)):
+        hi = (x & np.uint64(mask)) == 0
+        n += np.where(hi, np.uint64(shift), np.uint64(0))
+        x = np.where(hi, x << np.uint64(shift), x)
+    n[w == 0] = 64
+    return (np.minimum(n, np.uint64(64 - p)) + np.uint64(1)).astype(np.uint8)
+
+
+def test_closed_form_rank_matches_clz_rank():
+    from presto_bloomfilter_ray.sketches.hll import _rank
+
+    rng = np.random.default_rng(5)
+    for p in (4, 12, 14, 18):
+        edges = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**32 - 1,
+                          2**32, 2**(64 - p) - 1, 2**(64 - p), 2**64 - 1],
+                         dtype=np.uint64)
+        rand = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False)
+        shifted = rand >> rng.integers(0, 64, rand.size).astype(np.uint64)
+        for h in (edges, rand, shifted):
+            assert np.array_equal(_rank(h, p), _clz_rank(h, p)), p
