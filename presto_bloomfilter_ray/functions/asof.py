@@ -216,7 +216,7 @@ def asof_join_bucketed(left_ds, right_ds, key: str, ts: str,
 
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
-    from .dedup import _pow2
+    from .fold import _pow2
 
     n_buckets = _pow2(n_buckets)  # '& (n-1)' masks need a power of two
     left_schema = left_ds.schema()

@@ -41,7 +41,7 @@ import pyarrow as pa
 
 import ray
 
-from .fold import bucket_fold
+from .fold import bucket_fold, exchange_width
 
 
 def _fold_batches(batches):
@@ -67,14 +67,17 @@ def _fold_batches(batches):
 def connected_components(edges, max_iters: int = 50,
                          shuffle_rounds: bool = False):
     """``edges``: Dataset or pandas DataFrame with int64 columns
-    ``a``/``b`` → pandas DataFrame (node, component), component = min
-    node id of the component."""
+    ``a``/``b`` (other columns are ignored) → pandas DataFrame (node,
+    component), component = min node id of the component. A
+    materialized Dataset is read as is, with no extra execution."""
     import pandas as pd
 
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
     if isinstance(edges, pd.DataFrame):
         edges = rd.from_pandas(edges[["a", "b"]].astype("int64"))
-    edges = edges.select_columns(["a", "b"]).materialize()
+    elif not isinstance(edges, MaterializedDataset):
+        edges = edges.materialize()
 
     # round 0 fused with node discovery: with labels initialized to node
     # ids, the first propagation's proposal for each endpoint is simply
@@ -183,9 +186,11 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
        the propagation fixpoint labels are component-constant, making
        the shortcut the identity; breaking on ``changed == 0`` before
        the shortcut stays exact.
-    """
-    from .dedup import _pow2
 
+    Every exchange is sized from the edge count (one partition per
+    ``fold.ROWS_PER_PART`` edges, PERF §15/§57); ``n_parts`` stays the
+    upper bound, the scale knob to raise with cluster size.
+    """
     import ray.data as rd
 
     def _sever(mat):
@@ -197,15 +202,16 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
         lineage each round."""
         return rd.from_arrow_refs(mat.to_arrow_refs())
 
-    n_parts = _pow2(n_parts)
-    mask = np.int64(n_parts - 1)
     edges = _sever(edges.select_columns(["a", "b"]).materialize())
-    if edges.count() == 0:
+    n_edges = edges.count()
+    if n_edges == 0:
         import pandas as pd
 
         return rd.from_pandas(pd.DataFrame(
             {"node": pd.Series([], dtype="int64"),
              "component": pd.Series([], dtype="int64")}))
+    n_parts = exchange_width(n_edges, n_parts)
+    mask = np.int64(n_parts - 1)
 
     def _fold_pairs(n: np.ndarray, l: np.ndarray):
         """Min-fold (node, label) pairs → distinct nodes, min labels."""

@@ -38,16 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
-
-
-def _pow2(n: int) -> int:
-    """Round up to a power of two. The ``& (n - 1)`` partition masks
-    used throughout this module reach every bucket id only for
-    power-of-two counts (e.g. n=48 → mask 0b101111 → 32 reachable
-    buckets with heavy skew); rounding keeps co-partitioning correct
-    AND parallelism at the requested level."""
-    n = int(n)
-    return 1 << max(0, n - 1).bit_length()
+from .fold import _pow2, exchange_width
 
 
 # ------------------------------------------------- sharded anti-join
@@ -905,10 +896,12 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     Scale notes: the LSH shuffle moves only (id, band_hash) rows; the
     pairing partitions are ``band_hash & (n_parts-1)`` so each
     ``map_groups`` call processes ~#buckets/n_parts buckets in one
-    vectorized pass (raise ``n_parts`` with cluster size). Signatures
-    are materialized as a Dataset (spillable), never collected.
+    vectorized pass. The width of all three exchanges is sized from the
+    band-row count by :func:`~.fold.exchange_width` (one partition per
+    ~250k rows, PERF §15/§57); ``n_parts`` stays the upper bound, the
+    knob to raise with cluster size. Signatures are materialized as a
+    Dataset (spillable), never collected.
     """
-    n_parts = _pow2(n_parts)  # '& (n-1)' masks need a power of two
     kwargs = {"batch_format": "pyarrow"}
     if concurrency:
         kwargs["concurrency"] = concurrency
@@ -920,14 +913,10 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
         mh = MinHasher(num_perm, bands, shingle_k, text_col, id_col)
         sig_ds = ds.map_batches(mh, **kwargs)
     sig_ds = sig_ds.materialize()
-    # adapt the exchange width to the candidate-row volume: each sort
-    # partition carries fixed scheduling latency, so a small corpus
-    # must not pay for 64 of them (measured at 5k docs: 7.6 s → 3.5 s,
-    # identical edges). The caller's n_parts is the UPPER bound — the
-    # scale knob to raise with cluster size; ~250k band rows per
-    # partition keeps partitions CPU-bound at any size.
-    n_docs = sig_ds.count()
-    n_parts = _pow2(min(n_parts, max(4, (n_docs * bands) // 250_000 + 1)))
+    # size the exchange from the band-row count (PERF §15, §57): each
+    # sort partition carries fixed task latency, so a small corpus runs
+    # one partition; the caller's n_parts stays the upper bound
+    n_parts = exchange_width(sig_ds.count() * bands, n_parts)
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
@@ -1196,9 +1185,7 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, text_col: str = "text",
         })
 
     sig_rows = ds.map_batches(sigs, batch_format="pyarrow").materialize()
-    # adapt the exchange width to the data (see lsh_candidate_pairs);
-    # the caller's n_parts stays the upper bound / scale knob
-    n_parts = _pow2(min(n_parts, max(4, sig_rows.count() // 250_000 + 1)))
+    n_parts = exchange_width(sig_rows.count(), n_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         flat = np.asarray(batch.column("bucket"))

@@ -58,11 +58,11 @@ from .dedup import (
     _fresh_shard_dir,
     _min_bands_screen,
     _n_shards_for,
-    _pow2,
     _sharded_anti_join,
     _sig_type,
     _write_key_shards,
 )
+from .fold import _pow2, exchange_width
 
 _MANIFEST = "MANIFEST.json"
 _CHUNK_RE = re.compile(r"^chunk-g(\d+)-[0-9a-f]+\.parquet$")
@@ -300,14 +300,11 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
     num_perm, bands, gen = m["num_perm"], m["bands"], m["gen"]
     id_col = m["id_col"]
     bshards, sshards = m["band_shards"], m["sig_shards"]
-    n_parts = _pow2(n_parts)
     fsl = _sig_type(num_perm)
 
     new_sig = _sig_dataset(new_ds, num_perm, bands, m["shingle_k"],
                            m["text_col"], id_col, concurrency)
-    n_new = new_sig.count()
-    # adapt exchange width to the increment (see lsh_candidate_pairs)
-    n_parts = _pow2(min(n_parts, max(4, (n_new * bands) // 250_000 + 1)))
+    n_parts = exchange_width(new_sig.count() * bands, n_parts)
 
     def explode(b: pa.Table) -> pa.Table:
         ids = np.asarray(b.column(id_col)).astype(np.int64)
@@ -341,7 +338,7 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
     edges = (
         new_sig.select_columns([id_col, "band_hash"])
         .map_batches(explode, batch_format="pyarrow")
-        .repartition(min(bshards, max(n_parts, 4)))
+        .repartition(min(bshards, n_parts))
         .groupby("part").map_groups(band_join, batch_format="pyarrow")
     )
 

@@ -32,6 +32,9 @@ Used by: exact_dedup, dedup_lines_keep_first, connected components,
 boilerplate/substring scrubs, pair-verification folds, PageRank (all via
 ``bucket_fold``); cap_per_key, grouped_sketch / salted_grouped_sketch,
 the per-key window family and snapshot_delta (via ``exchange``).
+The count-sized exchanges (LSH and SimHash pairing, the MinHash index
+probe, dataset connected components) take their partition count from
+:func:`exchange_width`.
 """
 
 from __future__ import annotations
@@ -41,10 +44,15 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["append_bucket", "bucket_fold", "exchange"]
+__all__ = ["append_bucket", "bucket_fold", "exchange", "exchange_width"]
 
 #: default bucket count of every bucketed exchange
 NUM_BUCKETS = 64
+
+#: rows one sort partition of a count-sized exchange carries (PERF §15):
+#: enough to keep each partition CPU-bound, few enough to spread a
+#: large input across the cluster
+ROWS_PER_PART = 250_000
 
 #: ops supported: (polars map-side expr, polars combine-side expr)
 _OPS = {"sum", "min", "max", "count"}
@@ -66,6 +74,24 @@ def _exprs(aggs: Sequence[Tuple[Optional[str], str, str]], combine: bool):
             e = getattr(pl.col(src), op)()
         out.append(e.alias(alias))
     return out
+
+
+def _pow2(n: int) -> int:
+    """Round up to a power of two (1 for n ≤ 1). ``& (n - 1)``
+    partition masks reach every bucket id only for power-of-two counts
+    (n=48 → mask 0b101111 → 32 reachable buckets with heavy skew);
+    rounding keeps co-partitioning correct AND parallelism at the
+    requested level."""
+    return 1 << max(0, int(n) - 1).bit_length()
+
+
+def exchange_width(rows: int, cap: int) -> int:
+    """Partition count of an exchange over ``rows`` rows: one partition
+    per :data:`ROWS_PER_PART` rows, at most ``cap`` (the caller's
+    ``n_parts``, the scale knob to raise with cluster size), rounded up
+    to a power of two for ``& (n - 1)`` masks. No floor: every sort
+    partition costs fixed task latency, so a small input gets one."""
+    return _pow2(min(cap, rows // ROWS_PER_PART + 1))
 
 
 def append_bucket(b: pa.Table, key_cols, num_buckets: int,

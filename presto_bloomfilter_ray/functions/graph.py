@@ -635,9 +635,9 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
     ``broadcast_limit``, else attached by two node-keyed joins.
     Node ids must fit 2³¹ (packed-pair contract, asserted).
     """
-    from .fold import bucket_fold
+    from .fold import _pow2, bucket_fold
 
-    mask = np.int64(_pow2_graph(num_partitions) - 1)
+    mask = np.int64(_pow2(num_partitions) - 1)
 
     def und_rows(b: pa.Table) -> pa.Table:
         s = np.asarray(b.column(src_col), dtype=np.int64)
@@ -780,13 +780,6 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
     out = (tagged.groupby("part")
            .map_groups(close_group, batch_format="pyarrow").sum("n"))
     return int(out or 0)
-
-
-def _pow2_graph(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
 
 
 def triangle_count_sql(edges_sql: str) -> str:

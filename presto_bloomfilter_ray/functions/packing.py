@@ -37,13 +37,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import _pow2
 from .text import TOKEN_RE
 
 __all__ = ["pack_sequences", "pack_stats"]
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, int(n) - 1).bit_length() if n > 1 else 1
 
 
 def pack_sequences(ds, *, budget: int, text_col: str = "text",

@@ -160,12 +160,16 @@ def test_min_bands_screen_derivation():
 
 
 @pytest.mark.parametrize("n_parts", [48, 100])
-def test_non_pow2_parts_are_rounded(ray_session, n_parts):
+def test_non_pow2_parts_are_rounded(ray_session, monkeypatch, n_parts):
     """Non-power-of-two n_parts must not silently skew bucketing
-    (round-2 advice: '& (n-1)' with n=48 reaches only 32 buckets)."""
+    (round-2 advice: '& (n-1)' with n=48 reaches only 32 buckets).
+    One row per partition lets these 21 docs reach the full n_parts
+    width instead of the single partition their size would get."""
     import ray.data as rd
 
-    from presto_bloomfilter_ray.functions import lsh_candidate_pairs
+    from presto_bloomfilter_ray.functions import fold, lsh_candidate_pairs
+
+    monkeypatch.setattr(fold, "ROWS_PER_PART", 1)
 
     rows = [{"doc_id": i, "text": f"totally unique text {i} " * 10}
             for i in range(20)]

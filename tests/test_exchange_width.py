@@ -1,0 +1,140 @@
+"""Count-sized exchange widths (``fold.exchange_width``): the sizing
+rule itself, and proof that the width is scheduling only — LSH edges,
+MinHash survivors, SimHash pairs and connected-component labels are
+bit-identical whether an input runs as one partition or as many."""
+import numpy as np
+import pandas as pd
+import pytest
+
+from presto_bloomfilter_ray.functions import components, dedup, fold
+from presto_bloomfilter_ray.functions.fold import _pow2, exchange_width
+
+
+def test_width_is_one_partition_per_rows_per_part_without_floor():
+    assert fold.ROWS_PER_PART == 250_000
+    assert exchange_width(0, 64) == 1
+    assert exchange_width(249_999, 64) == 1
+    assert exchange_width(250_000, 64) == 2
+    assert exchange_width(3 * 250_000, 64) == 4  # 4 partitions, rounded up
+
+
+@pytest.mark.parametrize("cap", [1, 4, 48, 64, 100])
+def test_width_never_above_pow2_cap(cap):
+    for rows in (0, 1, 10**6, 10**9, 10**12):
+        w = exchange_width(rows, cap)
+        assert w <= _pow2(cap)
+        assert w & (w - 1) == 0  # '& (n - 1)' masks need a power of two
+
+
+def test_non_pow2_cap_rounds_up():
+    assert exchange_width(10**9, 48) == 64
+
+
+# ------------------------------------------------- width invariance
+
+def _corpus(seed=5):
+    """Near-dup families (word substitutions), exact copies, and one
+    template of 70 copies — above pair_cutoff, so it pairs as a star."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(400)]
+    rows, i = [], 0
+    for _ in range(20):
+        words = list(rng.choice(vocab, 60))
+        for v in range(4):
+            w = list(words)
+            for pos in rng.choice(60, v, replace=False):
+                w[pos] = str(rng.choice(vocab))
+            rows.append({"doc_id": i, "text": " ".join(w)})
+            i += 1
+        rows.append({"doc_id": i, "text": " ".join(words)})
+        i += 1
+    template = "shared boilerplate footer text for every page " * 8
+    for _ in range(70):
+        rows.append({"doc_id": i, "text": template})
+        i += 1
+    return rows
+
+
+def _spy(monkeypatch, module):
+    """Record every width ``module`` asks ``exchange_width`` for."""
+    widths = []
+
+    def spy(rows, cap):
+        w = fold.exchange_width(rows, cap)
+        widths.append(w)
+        return w
+
+    monkeypatch.setattr(module, "exchange_width", spy)
+    return widths
+
+
+def _narrow_and_wide(monkeypatch, module, rows, run):
+    """``run()`` at the default width (1 here), then again with
+    ``ROWS_PER_PART`` lowered so ``rows`` spans 4 partitions."""
+    widths = _spy(monkeypatch, module)
+    narrow = run()
+    assert widths and set(widths) == {1}
+    widths.clear()
+    monkeypatch.setattr(fold, "ROWS_PER_PART", max(1, rows // 3))
+    wide = run()
+    assert widths and min(widths) >= 4
+    return narrow, wide
+
+
+def _sorted(df, cols):
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_lsh_pairs_and_survivors_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rows = _corpus()
+    ds = rd.from_items(rows)
+    cols = ["a", "b", "est_jaccard"]
+
+    narrow, wide = _narrow_and_wide(
+        monkeypatch, dedup, len(rows) * 32,
+        lambda: _sorted(dedup.lsh_candidate_pairs(ds, min_est=0.5)
+                        .to_pandas(), cols))
+    assert len(narrow) > 0
+    pd.testing.assert_frame_equal(narrow, wide)
+
+    def survivors():
+        kept, dup_map = dedup.minhash_dedup(ds, threshold=0.8)
+        return sorted(r["doc_id"] for r in kept.take_all()), dup_map
+
+    monkeypatch.setattr(fold, "ROWS_PER_PART", 250_000)
+    (ids_n, map_n), (ids_w, map_w) = _narrow_and_wide(
+        monkeypatch, dedup, len(rows) * 32, survivors)
+    assert len(ids_n) < len(rows)
+    assert ids_n == ids_w and map_n == map_w
+
+
+def test_simhash_pairs_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rows = _corpus()
+    ds = rd.from_items(rows)
+    cols = ["a", "b", "hamming"]
+    narrow, wide = _narrow_and_wide(
+        monkeypatch, dedup, len(rows) * 4,
+        lambda: _sorted(dedup.simhash_candidate_pairs(ds).to_pandas(), cols))
+    assert len(narrow) > 0
+    pd.testing.assert_frame_equal(narrow, wide)
+
+
+def test_components_ds_labels_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rng = np.random.default_rng(2)
+    a = rng.integers(0, 300, 400).astype(np.int64)
+    b = rng.integers(0, 300, 400).astype(np.int64)
+    edges = pd.DataFrame({"a": a[a != b], "b": b[a != b]})
+    cols = ["node", "component"]
+    narrow, wide = _narrow_and_wide(
+        monkeypatch, components, len(edges),
+        lambda: _sorted(components.connected_components_ds(
+            rd.from_pandas(edges)).to_pandas().astype("int64"), cols))
+    ref = _sorted(components.connected_components(edges).astype("int64"), cols)
+    pd.testing.assert_frame_equal(narrow, ref)
+    pd.testing.assert_frame_equal(narrow, wide)

@@ -9,9 +9,12 @@ Usage (from anywhere):
 
 Defaults to /root/testdata/sf0.01. Optional name prefixes restrict the
 sweep (e.g. ``python tools/sweep.py /root/testdata/sf0.01 bloom_ hll_``).
-Exits 0 iff every swept query matches.
+Exits 0 iff every swept query matches. A query still running after
+``QUERY_TIMEOUT_S`` seconds of wall clock is reported as
+``FAIL <name> (timeout)`` and the sweep moves on to the next one.
 """
 import os
+import signal
 import sys
 import time
 import traceback
@@ -27,6 +30,17 @@ import ray  # noqa: E402
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
+
+#: wall-clock limit per query (SIGALRM), so a stall is a named failure
+QUERY_TIMEOUT_S = 600
+
+
+class QueryTimeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise QueryTimeout()
 
 
 def norm(df: pd.DataFrame) -> pd.DataFrame:
@@ -48,6 +62,7 @@ def main() -> int:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
 
     qs, osql = E.queries(), E.oracle_sql()
+    signal.signal(signal.SIGALRM, _on_alarm)
     fails = []
     n_run = 0
     for name, fn in qs.items():
@@ -55,6 +70,7 @@ def main() -> int:
             continue
         n_run += 1
         t0 = time.time()
+        signal.alarm(QUERY_TIMEOUT_S)
         try:
             res = fn(sf)
             if hasattr(res, "to_pandas"):
@@ -83,10 +99,15 @@ def main() -> int:
                   flush=True)
             if not ok:
                 fails.append(name)
+        except QueryTimeout:
+            print(f"FAIL {name} (timeout) {time.time()-t0:6.1f}s", flush=True)
+            fails.append(name)
         except Exception:
             print(f"ERR  {name:40s} {time.time()-t0:6.1f}s", flush=True)
             traceback.print_exc()
             fails.append(name)
+        finally:
+            signal.alarm(0)
 
     print(f"\nTOTAL {n_run} FAILS {len(fails)} {fails}", flush=True)
     ray.shutdown()
