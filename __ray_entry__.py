@@ -2375,7 +2375,7 @@ def _substring_scrub_stats(sf_dir: str):
                     Sum("hot_starts", alias_name="hot_starts"),
                     Sum("affected", alias_name="affected")))
     return pd.DataFrame({
-        "n_hot_windows": pd.array([hot["n_hot"]], dtype="int64"),
+        "n_hot_windows": pd.array([hot.n], dtype="int64"),
         "n_hot_positions": pd.array([a["hot_starts"]], dtype="int64"),
         "n_docs_affected": pd.array([a["affected"]], dtype="int64"),
         "total_removed_chars": pd.array([a["removed"]], dtype="int64"),

@@ -14,7 +14,6 @@ from .joinplan import planned_join, sketch_join_plan
 from .dedup import (
     add_content_hash,
     cap_per_key,
-    cleanup_shard_dirs,
     dedup_lines_keep_first,
     exact_dedup,
     lsh_candidate_pairs,
@@ -25,6 +24,7 @@ from .dedup import (
     simhash_candidate_pairs,
     simhash_candidates,
 )
+from .keyset import KeySet, cleanup_shard_dirs
 from .budget import token_budget_cutoffs, token_budget_select
 from .embed import DocumentEmbedder, embed_documents
 from .heavy import exact_heavy_hitters

@@ -27,10 +27,7 @@ table. Partitioning contracts (100 TB design notes):
 
 from __future__ import annotations
 
-import os
-import tempfile
-import uuid
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -38,250 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
-from .fold import _pow2, exchange_width
-
-
-# ------------------------------------------------- sharded anti-join
-# The scale path for dedup REMOVAL. A web corpus at 100 TB is 30-50 %
-# near-duplicate, so the removed-id / keep-map table can reach 10^10
-# entries (~80 GB) — no driver set or per-task broadcast survives that.
-# The map is hash-partitioned by ``key & (n_shards - 1)`` into sorted
-# parquet shards on shared storage (written DISTRIBUTED — the map never
-# touches the driver) plus a completeness MANIFEST, then removal runs
-# one of two ways:
-#
-# * shard count ≤ the per-worker cache cap: a map-only filter — each
-#   batch loads the shards its keys hash into, LRU-memoized per worker.
-#   Total worker-resident bytes are bounded by cap × shard size; keys
-#   are uniform hashes / arbitrary ids, so workers converge on holding
-#   the shards of the partitions they process.
-# * shard count ABOVE the cap (the 10^10-entry regime, where per-batch
-#   uniform keys would touch every shard and thrash any cache): the
-#   CORPUS is co-partitioned on the same ``key & mask`` (one shuffle)
-#   so each partition reads EXACTLY ONE shard — the classic
-#   distributed hash anti-join.
-#
-# The manifest makes missing state loud: a filter worker that cannot
-# see the manifest (work_dir not on shared storage in a multi-node
-# run) raises instead of silently treating every shard as empty.
-
-_SHARD_CACHE: Dict = {}  # (shard_dir, part) -> (sorted keys, keep); LRU
-_SHARD_CACHE_CAP = 256
-_MANIFEST_CACHE: Dict = {}  # shard_dir -> manifest dict
-_MANIFEST_NAME = "MANIFEST.json"
-_CREATED_SHARD_DIRS: List[str] = []  # this process's builds, for cleanup
-
-
-def _write_key_shards(kv_ds, shard_dir: str, n_shards: int,
-                      has_keep: bool) -> None:
-    """Hash-partition a (key[, keep]) Dataset into ``n_shards`` sorted
-    parquet shards plus a completeness manifest — the build half of the
-    sharded anti-join. One repartition + groupby over the (small
-    relative to the corpus) key table; shard writes are atomic
-    (tmp + rename) and the manifest is written LAST, so readers either
-    see a complete build or fail loudly."""
-    import json
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(shard_dir, exist_ok=True)
-    mask = n_shards - 1
-
-    def tag(b: pa.Table) -> pa.Table:
-        key = b.column("key").cast(pa.int64())
-        out = {"key": key, "part": pc.bit_wise_and(key, mask)}
-        if has_keep:
-            out["keep"] = b.column("keep").cast(pa.int64())
-        return pa.table(out)
-
-    def write_shard(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
-        keys = np.asarray(g.column("key"))
-        order = np.argsort(keys)
-        cols = {"key": pa.array(keys[order])}
-        if has_keep:
-            cols["keep"] = pa.array(np.asarray(g.column("keep"))[order])
-        final = os.path.join(shard_dir, f"shard-{p:05d}.parquet")
-        tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(pa.table(cols), tmp)
-        os.replace(tmp, final)
-        return pa.table({"part": pa.array([p]), "n": pa.array([len(keys)])})
-
-    summary = (kv_ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(n_shards)  # coalesce before groupby (PERF.md §12)
-        .groupby("part").map_groups(write_shard, batch_format="pyarrow")
-    ).to_pandas()  # ≤ n_shards tiny rows
-    manifest = {"n_shards": int(n_shards), "has_keep": bool(has_keep),
-                "parts": {str(int(p)): int(n)
-                          for p, n in zip(summary.get("part", []),
-                                          summary.get("n", []))}}
-    tmp = os.path.join(shard_dir, f".{_MANIFEST_NAME}.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(shard_dir, _MANIFEST_NAME))
-    _CREATED_SHARD_DIRS.append(shard_dir)
-
-
-def cleanup_shard_dirs() -> List[str]:
-    """Remove every shard directory built by THIS process's dedup calls
-    (they otherwise persist under /tmp or the caller's ``work_dir`` —
-    the full keep-map as parquet), and drop this process's cached
-    manifests/shards for them. Call only AFTER the returned deduped
-    Datasets have been fully consumed: their filter stages read the
-    shards lazily. (Worker processes keep their own caches; those are
-    bounded by ``_SHARD_CACHE_CAP`` and die with the worker.)"""
-    import shutil
-
-    removed = []
-    while _CREATED_SHARD_DIRS:
-        d = _CREATED_SHARD_DIRS.pop()
-        shutil.rmtree(d, ignore_errors=True)
-        _MANIFEST_CACHE.pop(d, None)
-        for ck in [k for k in _SHARD_CACHE if k[0] == d]:
-            _SHARD_CACHE.pop(ck, None)
-        removed.append(d)
-    return removed
-
-
-def _load_manifest(shard_dir: str) -> Dict:
-    import json
-
-    m = _MANIFEST_CACHE.get(shard_dir)
-    if m is None:
-        path = os.path.join(shard_dir, _MANIFEST_NAME)
-        try:
-            with open(path) as f:
-                m = json.load(f)
-        except FileNotFoundError:
-            raise FileNotFoundError(
-                f"sharded anti-join manifest missing at {path}: the shard "
-                "build did not complete, or work_dir is not on storage "
-                "shared with this worker (multi-node runs need a shared "
-                "filesystem / object-store path)") from None
-        if len(_MANIFEST_CACHE) >= _SHARD_CACHE_CAP:  # bound long-lived procs
-            _MANIFEST_CACHE.pop(next(iter(_MANIFEST_CACHE)))
-        _MANIFEST_CACHE[shard_dir] = m
-    return m
-
-
-def _load_shard(shard_dir: str, part: int,
-                has_keep: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per-worker LRU-memoized shard load. The manifest distinguishes
-    a genuinely empty part (absent from the manifest) from missing
-    state (no manifest → raise)."""
-    import pyarrow.parquet as pq
-
-    ck = (shard_dir, part)
-    hit = _SHARD_CACHE.get(ck)
-    if hit is not None:
-        # LRU refresh: re-insert so cyclic access doesn't evict the
-        # working set in FIFO order
-        _SHARD_CACHE.pop(ck)
-        _SHARD_CACHE[ck] = hit
-        return hit
-    manifest = _load_manifest(shard_dir)
-    if str(int(part)) not in manifest["parts"]:
-        hit = (np.zeros(0, dtype=np.int64), None)
-    else:
-        t = pq.read_table(os.path.join(shard_dir, f"shard-{part:05d}.parquet"))
-        hit = (np.asarray(t.column("key")),
-               np.asarray(t.column("keep")) if has_keep else None)
-    if len(_SHARD_CACHE) >= _SHARD_CACHE_CAP:
-        _SHARD_CACHE.pop(next(iter(_SHARD_CACHE)))
-    _SHARD_CACHE[ck] = hit
-    return hit
-
-
-def _sharded_anti_join(ds, shard_dir: str, n_shards: int, has_keep: bool,
-                       key_of, keep_mask,
-                       co_partition: Optional[bool] = None):
-    """Filter ``ds`` against a shard table, picking the physical plan
-    by shard count (see the module-section comment above):
-
-    * map-only per-batch lookups with the per-worker LRU when the
-      shard count fits the cache cap;
-    * otherwise co-partition the CORPUS on the same ``key & mask``
-      (one shuffle) so every partition reads exactly one shard — the
-      distributed hash anti-join, immune to cache thrash under
-      uniform keys.
-
-    ``key_of(batch) → int64 keys``; ``keep_mask(batch, keys, found,
-    keep_vals) → bool survivors``.
-    """
-    if co_partition is None:
-        co_partition = n_shards > _SHARD_CACHE_CAP
-
-    if not co_partition:
-        def filt(b: pa.Table) -> pa.Table:
-            keys = key_of(b)
-            found, kv = _shard_lookup(keys, shard_dir, n_shards, has_keep)
-            return b.filter(pa.array(keep_mask(b, keys, found, kv)))
-
-        return ds.map_batches(filt, batch_format="pyarrow")
-
-    def tag(b: pa.Table) -> pa.Table:
-        keys = key_of(b)
-        b = b.append_column("_aj_key", pa.array(keys))
-        return b.append_column("_aj_part",
-                               pa.array(keys & np.int64(n_shards - 1)))
-
-    def filt_group(g: pa.Table) -> pa.Table:
-        keys = np.asarray(g.column("_aj_key"))
-        found, kv = _shard_lookup(keys, shard_dir, n_shards, has_keep)
-        out = g.filter(pa.array(keep_mask(g, keys, found, kv)))
-        return out.drop_columns(["_aj_key", "_aj_part"])
-
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(min(n_shards, 512))  # coalesce (PERF.md §12)
-        .groupby("_aj_part").map_groups(filt_group, batch_format="pyarrow")
-    )
-
-
-def _shard_lookup(keys: np.ndarray, shard_dir: str, n_shards: int,
-                  has_keep: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """→ (found mask, keep values) for a batch of int64 keys, touching
-    only the shards the batch's keys hash into."""
-    n = len(keys)
-    found = np.zeros(n, dtype=bool)
-    keep = np.zeros(n, dtype=np.int64)
-    parts = keys & np.int64(n_shards - 1)
-    for p in np.unique(parts):
-        sk, kv = _load_shard(shard_dir, int(p), has_keep)
-        if len(sk) == 0:
-            continue
-        m = parts == p
-        sel = keys[m]
-        idx = np.searchsorted(sk, sel)
-        idx_c = np.clip(idx, 0, len(sk) - 1)
-        hit = sk[idx_c] == sel
-        found[m] = hit
-        if kv is not None:
-            kv_sel = np.zeros(len(sel), dtype=np.int64)
-            kv_sel[hit] = kv[idx_c[hit]]
-            keep[m] = kv_sel
-    return found, keep
-
-
-def _n_shards_for(n_entries: int, target_per_shard: int = 2_000_000) -> int:
-    """Shards sized ~target entries (≈16-32 MB sorted int64 pairs),
-    power of two, capped so tiny maps don't fan into thousands of
-    files and huge maps don't exceed 4096 shards."""
-    return min(4096, _pow2(max(8, -(-n_entries // target_per_shard))))
-
-
-def _fresh_shard_dir(work_dir: Optional[str], prefix: str) -> str:
-    """A UNIQUE directory per shard build. Two hazards make reuse of a
-    caller's directory unsafe: (1) a re-run with different data only
-    overwrites parts that currently have keys — a stale shard for a
-    now-empty part would silently drop rows; (2) the per-worker shard
-    cache is keyed by (dir, part) and would serve the previous build.
-    So ``work_dir`` is treated as a PARENT (shared storage at scale)
-    and each build gets a fresh uuid subdirectory."""
-    if work_dir is None:
-        return tempfile.mkdtemp(prefix=prefix)
-    os.makedirs(work_dir, exist_ok=True)
-    return tempfile.mkdtemp(prefix=prefix, dir=work_dir)
+from .fold import exchange_width
+from .keyset import KeySet
 
 
 def normalize_text(text_col) -> pa.ChunkedArray:
@@ -300,7 +55,7 @@ def add_content_hash(batch: pa.Table, col: str = "text",
 def dedup_lines_keep_first(ds, text_col: str = "text",
                            id_col: str = "doc_id", sep: str = "\n",
                            broadcast_limit: int = 2_000_000,
-                           num_partitions: int = 8):
+                           work_dir: Optional[str] = None):
     """Corpus-level line/paragraph dedup keeping the FIRST occurrence
     (RefinedWeb-style repetition removal): a line is kept only in the
     document with the smallest ``(id, position)`` that contains it;
@@ -311,22 +66,17 @@ def dedup_lines_keep_first(ds, text_col: str = "text",
     Scale shape: pass 1 emits ``(line_hash, packed_position)`` pairs
     pre-combined per batch (the shuffle carries 16 B per distinct line
     per batch, NEVER line text); a ``groupby(hash).min`` picks global
-    winners. When the winner table fits ``broadcast_limit`` it is
-    broadcast once (``ray.put``) and pass 2 is ONE vectorized
-    ``map_batches`` over the ORIGINAL documents: re-split, probe the
-    sorted winner array with ``searchsorted``, rebuild kept text with
-    ``ListArray.from_arrays`` + ``binary_join`` — corpus text never
-    crosses a shuffle and no per-doc Python runs. Above the limit the
-    exploded table joins the winner Dataset co-partitioned by hash and
-    a per-doc ``map_groups`` rebuilds (text crosses two shuffles —
-    unavoidable when the winner side itself needs a shuffle join).
+    winners, held as a :class:`~.keyset.KeySet` (broadcast below
+    ``broadcast_limit`` winners, sharded under ``work_dir`` above).
+    Pass 2 is ONE vectorized ``map_batches`` over the ORIGINAL
+    documents: re-split, look up each line's winning position, rebuild
+    kept text with ``ListArray.from_arrays`` + ``binary_join`` — corpus
+    text never crosses a shuffle and no per-doc Python runs.
     Positions pack as ``id·2³¹ + idx`` — requires ``id < 2³²`` and
     ``< 2³¹`` lines per doc (asserted).
 
     Returns one row per document: ``(id, n_lines, n_kept, text)``.
     """
-    import ray
-
     def _positions(b: pa.Table):
         """Split a batch of docs into flat lines + packed positions."""
         col = b.column(text_col)
@@ -345,84 +95,42 @@ def dedup_lines_keep_first(ds, text_col: str = "text",
             raise ValueError("dedup_lines_keep_first position packing "
                              "requires id < 2^32 and < 2^31 lines/doc")
         h = hash64(flat, 0x11E5).astype(np.int64)
-        packed = ids * (1 << 31) + idx
-        return flat, ids, idx, h, packed, doc_ids, n_lines, parents
+        return flat, h, ids * (1 << 31) + idx, doc_ids, n_lines, parents
 
     def min_pairs(b: pa.Table) -> pa.Table:
         import polars as pl
 
-        _, _, _, h, packed, _, _, _ = _positions(b)
+        _, h, packed, _, _, _ = _positions(b)
         t = pl.DataFrame({"h": h, "packed": packed})
         return (t.group_by("h").agg(win=pl.col("packed").min()).to_arrow()
                 .cast(pa.schema([("h", pa.int64()), ("win", pa.int64())])))
 
     from .fold import bucket_fold
 
-    winners = bucket_fold(
-        ds.map_batches(min_pairs, batch_format="pyarrow"),
-        ["h"], [("win", "min", "win")]).materialize()
-    n_distinct = winners.count()
+    winners = KeySet.build(
+        bucket_fold(ds.map_batches(min_pairs, batch_format="pyarrow"),
+                    ["h"], [("win", "min", "win")]).materialize(),
+        "h", "win", broadcast_limit=broadcast_limit, work_dir=work_dir,
+        prefix="line-dedup-shards-")
 
-    if n_distinct <= broadcast_limit:
-        empty = pa.table({"h": pa.array([], pa.int64()),
-                          "win": pa.array([], pa.int64())})
-        wt = pa.concat_tables(
-            [empty] + [pa.table(b) for b in winners.iter_batches(
-                batch_format="pyarrow", batch_size=None)])
-        wh = np.asarray(wt.column("h"))
-        order = np.argsort(wh)
-        ref = ray.put((wh[order], np.asarray(wt.column("win"))[order]))
-
-        def rebuild_map(b: pa.Table) -> pa.Table:
-            wh_sorted, win_sorted = ray.get(ref)
-            flat, _, _, h, packed, doc_ids, n_lines, parents = _positions(b)
-            if len(h):
-                i = np.searchsorted(wh_sorted, h)
-                keep = packed == win_sorted[i]
-            else:
-                keep = np.zeros(0, bool)
-            kept_flat = flat.filter(pa.array(keep))
-            n_kept = (np.bincount(parents[keep], minlength=len(b))
-                      .astype(np.int64) if len(parents)
-                      else np.zeros(len(b), np.int64))
-            offsets = np.concatenate(([0], np.cumsum(n_kept))).astype(np.int32)
-            texts = pc.binary_join(
-                pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                         kept_flat), sep)
-            return pa.table({
-                id_col: pa.array(doc_ids), "n_lines": pa.array(n_lines),
-                "n_kept": pa.array(n_kept), text_col: texts,
-            })
-
-        return ds.map_batches(rebuild_map, batch_format="pyarrow")
-
-    # winner table too big to broadcast: co-partitioned join + per-doc rebuild
-    def explode(b: pa.Table) -> pa.Table:
-        flat, ids, idx, h, packed, _, _, _ = _positions(b)
+    def rebuild_map(b: pa.Table) -> pa.Table:
+        flat, h, packed, doc_ids, n_lines, parents = _positions(b)
+        found, win = winners.lookup(h)
+        keep = found & (packed == win)
+        kept_flat = flat.filter(pa.array(keep))
+        n_kept = (np.bincount(parents[keep], minlength=len(b))
+                  .astype(np.int64) if len(parents)
+                  else np.zeros(len(b), np.int64))
+        offsets = np.concatenate(([0], np.cumsum(n_kept))).astype(np.int32)
+        texts = pc.binary_join(
+            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
+                                     kept_flat), sep)
         return pa.table({
-            "h": pa.array(h), "packed": pa.array(packed),
-            "doc": pa.array(ids), "idx": pa.array(idx), "line": flat,
+            id_col: pa.array(doc_ids), "n_lines": pa.array(n_lines),
+            "n_kept": pa.array(n_kept), text_col: texts,
         })
 
-    lines = ds.map_batches(explode, batch_format="pyarrow")
-    flagged = lines.join(
-        winners, "inner", num_partitions, on=("h",), right_on=("h",))
-    flagged = flagged.map_batches(
-        lambda b: b.append_column(
-            "keep", pc.equal(b.column("packed"), b.column("win"))),
-        batch_format="pyarrow")
-
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("idx", kind="stable")
-        kept = g.loc[g["keep"], "line"]
-        return pd.DataFrame({
-            id_col: [int(g["doc"].iloc[0])],
-            "n_lines": np.array([len(g)], dtype=np.int64),
-            "n_kept": np.array([int(g["keep"].sum())], dtype=np.int64),
-            text_col: [sep.join(kept.tolist())],
-        })
-
-    return flagged.groupby("doc").map_groups(rebuild, batch_format="pandas")
+    return ds.map_batches(rebuild_map, batch_format="pyarrow")
 
 
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
@@ -437,19 +145,15 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
     Scale design: the shuffle carries only (content_hash, id) PAIRS
     (16 bytes/row), aggregated with a vectorized Count+Min — never the
     text, and never per-group Python. Only hashes with count > 1 (the
-    actual duplicate groups) form the keep-map. Removal has two paths:
-
-    * ``|map| <= broadcast_limit``: collect + ``ray.put`` once, probe
-      with sorted ``searchsorted`` per batch — the small-side fast path.
-    * above the limit (web corpora are 30-50 % duplicate, so the map
-      can reach 10^10 entries): the keep-map NEVER touches the driver —
-      it is hash-partitioned into sorted shards (``_write_key_shards``,
-      fully distributed) under ``work_dir`` (shared storage at scale)
-      and removal is a sharded anti-join: each batch loads only the
-      shards its hashes land in, memoized per worker.
+    actual duplicate groups) form the keep-map, a
+    :class:`~.keyset.KeySet` hash → keep id: broadcast and probed with
+    a sorted ``searchsorted`` per batch up to ``broadcast_limit``
+    entries; above it (web corpora are 30-50 % duplicate, so the map
+    can reach 10^10 entries) it NEVER touches the driver — it is
+    hash-partitioned into sorted shards under ``work_dir`` (shared
+    storage at scale) and removal is a sharded anti-join
+    (``co_partition`` picks its plan; see :meth:`~.keyset.KeySet.filter`).
     """
-    import ray
-
     def hash_pairs(b: pa.Table) -> pa.Table:
         h = hash64(normalize_text(b.column(col)), 0xDED0)
         return pa.table({"content_hash": pa.array(h.astype(np.int64)),
@@ -468,50 +172,15 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
 
     from .fold import bucket_fold
 
-    dups_ds = (
+    dups = KeySet.build(
         bucket_fold(ds.map_batches(hash_pairs, batch_format="pyarrow"),
                     ["content_hash"],
                     [(None, "count", "n"), (id_col, "min", "keep_id")])
-        .map_batches(only_dups, batch_format="pyarrow")
-        .materialize()
-    )
-    n_dups = dups_ds.count()  # metadata-only on a materialized dataset
-    if n_dups == 0:
+        .map_batches(only_dups, batch_format="pyarrow").materialize(),
+        "content_hash", "keep_id", broadcast_limit=broadcast_limit,
+        work_dir=work_dir, prefix="exact-dedup-shards-")
+    if dups.n == 0:
         return ds
-
-    if n_dups <= broadcast_limit:
-        dups = pa.concat_tables(
-            [pa.table({"content_hash": pa.array([], pa.int64()),
-                       "keep_id": pa.array([], pa.int64())})]
-            + [pa.table(b).select(["content_hash", "keep_id"])
-               for b in dups_ds.iter_batches(batch_format="pyarrow",
-                                             batch_size=None)])
-        dh = np.asarray(dups.column("content_hash"))
-        order = np.argsort(dh)
-        dup_hashes = dh[order]
-        keep_ids = np.asarray(dups.column("keep_id"))[order]
-        ref = ray.put((dup_hashes, keep_ids))
-
-        def drop_losers(b: pa.Table) -> pa.Table:
-            dh, ki = ray.get(ref)
-            h = hash64(normalize_text(b.column(col)), 0xDED0).astype(np.int64)
-            idx = np.searchsorted(dh, h)
-            idx_c = np.clip(idx, 0, len(dh) - 1)
-            in_dup = dh[idx_c] == h
-            ids = np.asarray(b.column(id_col))
-            keep = ~in_dup | (ids == ki[idx_c])
-            return b.filter(pa.array(keep))
-
-        return ds.map_batches(drop_losers, batch_format="pyarrow")
-
-    # sharded anti-join path: keep-map stays distributed end to end
-    shard_dir = _fresh_shard_dir(work_dir, "exact-dedup-shards-")
-    n_shards = _n_shards_for(n_dups)
-    kv = dups_ds.map_batches(
-        lambda b: pa.table({"key": b.column("content_hash"),
-                            "keep": b.column("keep_id")}),
-        batch_format="pyarrow")
-    _write_key_shards(kv, shard_dir, n_shards, has_keep=True)
 
     def key_of(b: pa.Table) -> np.ndarray:
         return hash64(normalize_text(b.column(col)), 0xDED0).astype(np.int64)
@@ -520,8 +189,7 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
         ids = np.asarray(b.column(id_col)).astype(np.int64)
         return ~found | (ids == keep_id)
 
-    return _sharded_anti_join(ds, shard_dir, n_shards, True, key_of,
-                              keep_mask, co_partition)
+    return dups.filter(ds, key_of, keep_mask, co_partition)
 
 
 # ----------------------------------------------------------------- MinHash
@@ -960,7 +628,6 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
 def minhash_dedup(ds, threshold: float = 0.8, num_perm: int = 128,
                   bands: int = 32, shingle_k: int = 5,
                   text_col: str = "text", id_col: str = "doc_id",
-                  distributed_cc: bool = True,
                   broadcast_limit: int = 2_000_000,
                   work_dir: Optional[str] = None,
                   cc_backend: str = "driver",
@@ -975,17 +642,19 @@ def minhash_dedup(ds, threshold: float = 0.8, num_perm: int = 128,
     default ``cc_backend="driver"`` the only driver state is the
     component label table (one int per CANDIDATE node — bounded by
     real near-duplication, not corpus size) used to build ``dup_map``
-    and the removed-id filter; ``distributed_cc=False`` swaps in a
-    driver union-find over the collected edge list (debug / tiny
-    inputs).
+    and the removed-id :class:`~.keyset.KeySet` (broadcast up to
+    ``broadcast_limit`` ids, sharded under ``work_dir`` above; the
+    component label table still transits the driver once — the stated
+    ~16 B/node contract of connected_components — but the filter stage
+    never replicates it across the cluster).
 
     ``cc_backend="dataset"`` removes even that: clustering runs as
     :func:`~.components.connected_components_ds` (labels stay a
-    hash-partitioned Dataset), the removed-id set flows straight into
-    the sharded anti-join (:func:`_write_key_shards`) without EVER
-    touching the driver, and the second return value is the labels
-    **Dataset** ``(node, component)`` instead of a dict — the path for
-    corpora whose candidate-node set itself outgrows driver memory.
+    hash-partitioned Dataset), the removed-id set is always built
+    sharded (``broadcast_limit=0``) without EVER touching the driver,
+    and the second return value is the labels **Dataset**
+    ``(node, component)`` instead of a dict — the path for corpora
+    whose candidate-node set itself outgrows driver memory.
 
     **Mirror-heavy corpora: run :func:`exact_dedup` FIRST.** m exact
     copies of one text share identical signatures, so every band
@@ -1018,85 +687,26 @@ def minhash_dedup(ds, threshold: float = 0.8, num_perm: int = 128,
     if cc_backend == "dataset":
         from .components import connected_components_ds
 
-        labels = connected_components_ds(edges).materialize()
-        removed_kv = labels.filter(expr="node != component").map_batches(
-            lambda b: pa.table({"key": b.column("node")}),
-            batch_format="pyarrow").materialize()
-        n_removed = removed_kv.count()
-        if n_removed == 0:
-            return ds, labels
-        shard_dir = _fresh_shard_dir(work_dir, "minhash-dedup-shards-")
-        n_shards = _n_shards_for(n_removed)
-        _write_key_shards(removed_kv, shard_dir, n_shards, has_keep=False)
-        deduped = _sharded_anti_join(
-            ds, shard_dir, n_shards, False,
-            lambda b: np.asarray(b.column(id_col)).astype(np.int64),
-            lambda b, keys, found, kv: ~found, co_partition)
-        return deduped, labels
-
-    if distributed_cc:
+        clusters = connected_components_ds(edges).materialize()
+        removed = clusters.filter(expr="node != component").materialize()
+        broadcast_limit = 0  # this backend's set never visits the driver
+    else:
         from .components import connected_components
 
         cc = connected_components(edges)
-        dup_map = dict(zip(cc["node"].astype(int), cc["component"].astype(int)))
-    else:
-        # union-find over the (small, collected) candidate edge set
-        pdf = edges.to_pandas()
-        parent: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(pdf["a"].astype(np.int64), pdf["b"].astype(np.int64)):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        dup_map = {x: find(x) for x in list(parent)}
-    removed = {x for x, r in dup_map.items() if r != x}
-    if not removed:
-        return ds, {}
-    removed_arr = np.array(sorted(removed), dtype=np.int64)
-
-    if len(removed_arr) <= broadcast_limit:
-        import ray
-
-        removed_ref = ray.put(removed_arr)
-
-        def drop_dups(batch: pa.Table) -> pa.Table:
-            import ray as _ray
-
-            rem = _ray.get(removed_ref)
-            ids = np.asarray(batch.column(id_col)).astype(np.int64)
-            # sorted-probe, not np.isin (which re-sorts per batch)
-            idx = np.clip(np.searchsorted(rem, ids), 0, len(rem) - 1)
-            return batch.filter(pa.array(rem[idx] != ids))
-
-        return ds.map_batches(drop_dups, batch_format="pyarrow"), dup_map
-
-    # sharded anti-join path: above the broadcast limit the removed-id
-    # table is hash-partitioned into sorted shards and each filter
-    # batch loads only the shards its ids land in (per-worker memo) —
-    # no per-task re-broadcast of a multi-GB set. (The component label
-    # table still transits the driver once — the stated ~16 B/node
-    # contract of connected_components; the filter stage is what must
-    # not replicate it across the cluster.)
-    import ray.data as rd
-
-    shard_dir = _fresh_shard_dir(work_dir, "minhash-dedup-shards-")
-    n_shards = _n_shards_for(len(removed_arr))
-    _write_key_shards(rd.from_arrow(pa.table({"key": removed_arr})),
-                      shard_dir, n_shards, has_keep=False)
-    deduped = _sharded_anti_join(
-        ds, shard_dir, n_shards, False,
-        lambda b: np.asarray(b.column(id_col)).astype(np.int64),
+        clusters = dict(zip(cc["node"].astype(int),
+                            cc["component"].astype(int)))
+        removed = pa.Table.from_pandas(
+            cc.loc[cc["node"] != cc["component"], ["node"]],
+            preserve_index=False)
+    removed = KeySet.build(removed, "node", broadcast_limit=broadcast_limit,
+                           work_dir=work_dir, prefix="minhash-dedup-shards-")
+    if removed.n == 0:
+        return ds, (clusters if cc_backend == "dataset" else {})
+    deduped = removed.filter(
+        ds, lambda b: np.asarray(b.column(id_col)).astype(np.int64),
         lambda b, keys, found, kv: ~found, co_partition)
-    return deduped, dup_map
+    return deduped, clusters
 
 
 # ----------------------------------------------------------------- SimHash

@@ -53,16 +53,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (
-    MinHasher,
-    _fresh_shard_dir,
-    _min_bands_screen,
-    _n_shards_for,
-    _sharded_anti_join,
-    _sig_type,
-    _write_key_shards,
-)
+from .dedup import MinHasher, _min_bands_screen, _sig_type
 from .fold import _pow2, exchange_width
+from .keyset import KeySet, _n_shards_for
 
 _MANIFEST = "MANIFEST.json"
 _CHUNK_RE = re.compile(r"^chunk-g(\d+)-[0-9a-f]+\.parquet$")
@@ -438,41 +431,18 @@ def minhash_index_dedup(new_ds, index_dir: str, *, threshold: float = 0.8,
                         **probe_kwargs):
     """Incremental-ingest filter: → ``(novel_ds, matches_ds)`` where
     ``novel_ds`` is ``new_ds`` minus every doc with an index match.
-    Matched-id removal follows :func:`~.dedup.minhash_dedup`'s tiered
-    plan — sorted broadcast probe below ``broadcast_limit`` matched
-    ids, sharded anti-join above it (the round-2 scale fix)."""
-    m = _read_manifest(index_dir)
-    id_col = m["id_col"]
+    Matched ids form a :class:`~.keyset.KeySet`, as in
+    :func:`~.dedup.minhash_dedup` — sorted broadcast probe below
+    ``broadcast_limit`` matched ids, sharded anti-join above it."""
+    id_col = _read_manifest(index_dir)["id_col"]
     matches = minhash_index_probe(new_ds, index_dir, threshold=threshold,
                                   **probe_kwargs).materialize()
-    matched_kv = matches.map_batches(
-        lambda b: pa.table({"key": b.column("doc_id").cast(pa.int64())}),
-        batch_format="pyarrow").materialize()
-    n_matched = matched_kv.count()
-    if n_matched == 0:
+    matched = KeySet.build(matches, "doc_id",
+                           broadcast_limit=broadcast_limit,
+                           work_dir=work_dir, prefix="minhash-index-dedup-")
+    if matched.n == 0:
         return new_ds, matches
-    if n_matched <= broadcast_limit:
-        import ray
-
-        ids = np.unique(np.concatenate(
-            [np.asarray(b.column("key"))
-             for b in matched_kv.iter_batches(batch_format="pyarrow")]))
-        ref = ray.put(ids)
-
-        def drop(batch: pa.Table) -> pa.Table:
-            import ray as _ray
-
-            rem = _ray.get(ref)
-            keys = np.asarray(batch.column(id_col)).astype(np.int64)
-            pos = np.clip(np.searchsorted(rem, keys), 0, len(rem) - 1)
-            return batch.filter(pa.array(rem[pos] != keys))
-
-        return new_ds.map_batches(drop, batch_format="pyarrow"), matches
-    shard_dir = _fresh_shard_dir(work_dir, "minhash-index-dedup-")
-    n_shards = _n_shards_for(n_matched)
-    _write_key_shards(matched_kv, shard_dir, n_shards, has_keep=False)
-    novel = _sharded_anti_join(
-        new_ds, shard_dir, n_shards, False,
-        lambda b: np.asarray(b.column(id_col)).astype(np.int64),
-        lambda b, keys, found, kv: ~found, None)
+    novel = matched.filter(
+        new_ds, lambda b: np.asarray(b.column(id_col)).astype(np.int64),
+        lambda b, keys, found, kv: ~found)
     return novel, matches

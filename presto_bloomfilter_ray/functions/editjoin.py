@@ -345,18 +345,21 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
 
     _pool_schema = pa.schema([("key", pa.int64()),
                               ("txt", pa.large_string())])
-    # empty upstream blocks surface as zero-column tables — drop them
-    _pool_parts = [t for t in ray.get(
-        ds.map_batches(pool_rows, batch_format="pyarrow",
-                       batch_size=None).to_arrow_refs())
-        if t.num_columns]
-    pool_t = (pa.concat_tables(_pool_parts) if _pool_parts
-              else _pool_schema.empty_table())
-    if pool_t.num_rows > short_pool_cap:
+    # count the pool before collecting it (text included) to the
+    # driver, as the vocabulary guard above does
+    pool_ds = ds.map_batches(pool_rows, batch_format="pyarrow",
+                             batch_size=None).materialize()
+    n_pool = pool_ds.count()
+    if n_pool > short_pool_cap:
         raise ValueError(
-            f"short-string pool {pool_t.num_rows} exceeds cap "
+            f"short-string pool {n_pool} exceeds cap "
             f"{short_pool_cap}; gram-poor strings dominate — raise "
             "short_pool_cap or pre-filter")
+    # empty upstream blocks surface as zero-column tables — drop them
+    _pool_parts = [t for t in ray.get(pool_ds.to_arrow_refs())
+                   if t.num_columns]
+    pool_t = (pa.concat_tables(_pool_parts) if _pool_parts
+              else _pool_schema.empty_table())
     pool_ids = np.sort(np.asarray(pool_t.column("key"), dtype=np.int64))
     pool_ref = ray.put(pool_ids)
 

@@ -21,8 +21,8 @@ Ray-Data shape — composed from machinery this repo already tunes:
   emitted as (a < b); the drop set is exactly the distinct larger-id
   members — "keep the smallest id of every detected duplicate
   relation", the same rule as ``exact_dedup``.
-* **Tagging takes the broadcast/sharded split** shared with dedup
-  removal: the drop-id set is proportional to TRUE semantic
+* **Tagging probes a** :class:`~.keyset.KeySet` of drop ids, like
+  dedup removal: the set is proportional to TRUE semantic
   duplication, broadcast as a sorted array below ``broadcast_limit``,
   else hash-sharded to parquet and probed with the per-worker LRU.
 """
@@ -34,8 +34,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-import ray
-
+from .keyset import KeySet
 from .similarity import cosine_neardup_pairs_ivf
 
 __all__ = ["semdedup"]
@@ -51,44 +50,18 @@ def semdedup(ds, threshold: float = 0.9, vec_col: str = "embedding",
     columns) + a boolean ``drop_col`` — True for every item with a
     smaller-id cosine-duplicate in some shared IVF cluster. Filter on
     it to dedup; keep it for observability."""
-    from .dedup import _fresh_shard_dir, _n_shards_for, _write_key_shards
-
     pairs = cosine_neardup_pairs_ivf(
         ds, threshold=threshold, vec_col=vec_col, id_col=id_col,
         ncentroids=ncentroids, assign_m=assign_m,
         sample_fraction=sample_fraction, seed=seed, chunk=chunk)
-    drop = (pairs.select_columns(["b"]).groupby("b").count()
-            .select_columns(["b"])).materialize()
-    n_drop = drop.count()
-    if n_drop == 0:
-        hot = {"kind": "array", "ids": np.zeros(0, dtype=np.int64)}
-    elif n_drop <= broadcast_limit:
-        hot = {"kind": "array", "ids": np.sort(np.asarray(
-            drop.to_pandas()["b"].to_numpy(), dtype=np.int64))}
-    else:
-        shard_dir = _fresh_shard_dir(work_dir, "semdedup-shards-")
-        n_shards = _n_shards_for(n_drop)
-        _write_key_shards(drop.map_batches(
-            lambda b: pa.table({"key": b.column("b").cast(pa.int64())}),
-            batch_format="pyarrow"), shard_dir, n_shards, has_keep=False)
-        hot = {"kind": "shards", "dir": shard_dir, "n_shards": n_shards}
-
-    ref = ray.put(hot["ids"]) if hot["kind"] == "array" else None
+    drop = KeySet.build(
+        (pairs.select_columns(["b"]).groupby("b").count()
+         .select_columns(["b"])).materialize(),
+        "b", broadcast_limit=broadcast_limit, work_dir=work_dir,
+        prefix="semdedup-shards-")
 
     def tag(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b.column(id_col), dtype=np.int64)
-        if ref is not None:
-            arr = ray.get(ref)
-            if len(arr):
-                idx = np.clip(np.searchsorted(arr, ids), 0, len(arr) - 1)
-                hit = arr[idx] == ids
-            else:
-                hit = np.zeros(len(ids), dtype=bool)
-        else:
-            from .dedup import _shard_lookup
-
-            hit, _ = _shard_lookup(ids, hot["dir"], hot["n_shards"],
-                                   has_keep=False)
+        hit, _ = drop.lookup(np.asarray(b.column(id_col), dtype=np.int64))
         return b.append_column(drop_col, pa.array(hit))
 
     return ds.map_batches(tag, batch_format="pyarrow")

@@ -20,10 +20,9 @@ Scale shape (identical to :func:`~.text.boilerplate_lines`):
 * **The shuffle carries (window_hash, distinct_docs) pairs**,
   pre-combined per batch — never window text. Each document lives in
   exactly one batch, so per-batch distinct-doc counts sum exactly.
-* **The hot set takes the broadcast/sharded split** shared with dedup
-  removal: a sorted int64 array under ``broadcast_limit``, else
-  hash-partitioned parquet shards probed with the per-worker LRU
-  (:func:`~.dedup._shard_lookup`).
+* **The hot set is a** :class:`~.keyset.KeySet`, like dedup removal's
+  sets: a broadcast sorted int64 array under ``broadcast_limit``, else
+  hash-partitioned parquet shards probed with the per-worker LRU.
 * **Scrubbing is a pure map stage**: recompute window hashes, probe,
   mark coverage with a diff-array cumsum, and rebuild each batch's
   strings from the surviving codepoints with ONE decode of the whole
@@ -51,7 +50,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
+from .keyset import KeySet
 
 __all__ = ["hot_windows", "scrub_repeated_substrings"]
 
@@ -120,12 +119,8 @@ def hot_windows(ds, text_col: str = "text", window: int = 20,
                 min_docs: int = 2, broadcast_limit: int = 2_000_000,
                 work_dir: Optional[str] = None):
     """Find character windows of length ``window`` occurring in at
-    least ``min_docs`` DISTINCT documents. Returns the same
-    broadcast/sharded hot-set descriptor as
-    :func:`~.text.boilerplate_lines` (``{"kind": "array", ...}`` or
-    ``{"kind": "shards", ...}``)."""
-    from .dedup import _fresh_shard_dir, _n_shards_for, _write_key_shards
-
+    least ``min_docs`` DISTINCT documents. Returns their hashes as a
+    :class:`~.keyset.KeySet`, like :func:`~.text.boilerplate_lines`."""
     def window_doc_counts(b: pa.Table) -> pa.Table:
         codes, offsets, _ = _codepoints(b.column(text_col))
         starts, docs = _window_starts(offsets, window)
@@ -153,21 +148,8 @@ def hot_windows(ds, text_col: str = "text", window: int = 20,
         .filter(expr=f"nd >= {int(min_docs)}")
         .select_columns(["win_hash"])
     ).materialize()
-    n_hot = hot.count()
-    if n_hot == 0:
-        return {"kind": "array", "hashes": np.zeros(0, dtype=np.int64),
-                "n_hot": 0}
-    if n_hot <= broadcast_limit:
-        arr = np.sort(np.asarray(
-            hot.to_pandas()["win_hash"].to_numpy(), dtype=np.int64))
-        return {"kind": "array", "hashes": arr, "n_hot": n_hot}
-    shard_dir = _fresh_shard_dir(work_dir, "substr-shards-")
-    n_shards = _n_shards_for(n_hot)
-    _write_key_shards(hot.map_batches(
-        lambda b: pa.table({"key": b.column("win_hash")}),
-        batch_format="pyarrow"), shard_dir, n_shards, has_keep=False)
-    return {"kind": "shards", "dir": shard_dir, "n_shards": n_shards,
-            "n_hot": n_hot}
+    return KeySet.build(hot, "win_hash", broadcast_limit=broadcast_limit,
+                        work_dir=work_dir, prefix="substr-shards-")
 
 
 def scrub_repeated_substrings(ds, hot, window: int = 20,
@@ -179,30 +161,13 @@ def scrub_repeated_substrings(ds, hot, window: int = 20,
     emits the per-doc removed character count; ``hot_starts_col`` the
     per-doc count of hot window start positions — both exactly
     SQL-mirrorable."""
-    if hot["kind"] == "array":
-        ref = ray.put(hot["hashes"])
-    else:
-        ref = None
-
     def scrub(b: pa.Table) -> pa.Table:
         from .text import set_column as _set
 
         codes, offsets, py = _codepoints(b.column(text_col))
         n_docs = b.num_rows
         starts, docs = _window_starts(offsets, window)
-        h = _window_hashes(codes, starts, window)
-        if ref is not None:
-            hotarr = ray.get(ref)
-            if len(hotarr) and len(h):
-                idx = np.clip(np.searchsorted(hotarr, h), 0, len(hotarr) - 1)
-                is_hot = hotarr[idx] == h
-            else:
-                is_hot = np.zeros(len(h), dtype=bool)
-        else:
-            from .dedup import _shard_lookup
-
-            is_hot, _ = _shard_lookup(h, hot["dir"], hot["n_shards"],
-                                      has_keep=False)
+        is_hot, _ = hot.lookup(_window_hashes(codes, starts, window))
         n = len(codes)
         if not is_hot.any():
             out = _set(b, out_col, pc.fill_null(b.column(text_col), "")

@@ -14,6 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
+from .keyset import KeySet
 
 TOKEN_RE = r"\S+"  # whitespace tokenization — SQL-mirrorable (regexp_extract_all)
 WORD_RE = r"[A-Za-z]+"
@@ -298,16 +299,10 @@ def boilerplate_lines(ds, text_col: str = "text", min_count: int = 2,
 
     Scale design: the shuffle carries (line_hash, n) pairs pre-combined
     per batch (map-side value_counts) — never line text; the hot-line
-    table is bounded by lines that genuinely repeat. Returns
-    ``(sorted hot-line hash array | shard_dir info)`` via the same
-    small/large split as dedup removal: a sorted int64 array when it
-    fits ``broadcast_limit``, else sharded to parquet
-    (:func:`~.dedup._write_key_shards`).
+    table is bounded by lines that genuinely repeat. Returns the hot
+    line hashes as a :class:`~.keyset.KeySet` (broadcast up to
+    ``broadcast_limit`` hashes, sharded under ``work_dir`` above).
     """
-    from ray.data.aggregate import Sum
-
-    from .dedup import _fresh_shard_dir, _n_shards_for, _write_key_shards
-
     def line_hash_counts(b: pa.Table) -> pa.Table:
         lines = pc.list_flatten(pc.split_pattern(b.column(text_col), "\n"))
         if len(lines) == 0:
@@ -326,19 +321,8 @@ def boilerplate_lines(ds, text_col: str = "text", min_count: int = 2,
         .filter(expr=f"n >= {int(min_count)}")
         .select_columns(["line_hash"])
     ).materialize()
-    n_hot = hot.count()
-    if n_hot == 0:  # empty Datasets drop their schema through to_pandas
-        return {"kind": "array", "hashes": np.zeros(0, dtype=np.int64)}
-    if n_hot <= broadcast_limit:
-        arr = np.sort(np.asarray(
-            hot.to_pandas()["line_hash"].to_numpy(), dtype=np.int64))
-        return {"kind": "array", "hashes": arr}
-    shard_dir = _fresh_shard_dir(work_dir, "boilerplate-shards-")
-    n_shards = _n_shards_for(n_hot)
-    _write_key_shards(hot.map_batches(
-        lambda b: pa.table({"key": b.column("line_hash")}),
-        batch_format="pyarrow"), shard_dir, n_shards, has_keep=False)
-    return {"kind": "shards", "dir": shard_dir, "n_shards": n_shards}
+    return KeySet.build(hot, "line_hash", broadcast_limit=broadcast_limit,
+                        work_dir=work_dir, prefix="boilerplate-shards-")
 
 
 def remove_boilerplate_lines(ds, hot, text_col: str = "text",
@@ -353,13 +337,6 @@ def remove_boilerplate_lines(ds, hot, text_col: str = "text",
     dropped-line count — the observability column, and the unambiguous
     'changed' definition (``clean != text`` misses the degenerate
     empty doc whose single empty line is hot)."""
-    import ray
-
-    if hot["kind"] == "array":
-        ref = ray.put(hot["hashes"])
-    else:
-        ref = None
-
     def scrub(b: pa.Table) -> pa.Table:
         from .text import set_column as _set
 
@@ -371,19 +348,7 @@ def remove_boilerplate_lines(ds, hot, text_col: str = "text",
             lists = lists.combine_chunks()
         flat = pc.list_flatten(lists)
         parents = np.asarray(pc.list_parent_indices(lists))
-        h = hash64(flat, 0xB01E).astype(np.int64)
-        if ref is not None:
-            hotarr = ray.get(ref)
-            if len(hotarr):
-                idx = np.clip(np.searchsorted(hotarr, h), 0, len(hotarr) - 1)
-                is_hot = hotarr[idx] == h
-            else:
-                is_hot = np.zeros(len(h), dtype=bool)
-        else:
-            from .dedup import _shard_lookup
-
-            is_hot, _ = _shard_lookup(h, hot["dir"], hot["n_shards"],
-                                      has_keep=False)
+        is_hot, _ = hot.lookup(hash64(flat, 0xB01E).astype(np.int64))
         keep = ~is_hot
         # lists was combine_chunks()-ed above, so flat is a plain Array
         kept_flat = flat.filter(pa.array(keep))

@@ -42,6 +42,7 @@ Returns ``(dataset, metrics)`` where metrics is an ordered list of
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -153,6 +154,10 @@ def prepare_corpus(
                             "resumed": False})
             idx += 1
             return
+        # a crash between a GC's rename and its rmtree (below) leaves
+        # ".data-gc-*" debris nothing reads; reclaim it as stages start
+        for dead in glob.glob(os.path.join(checkpoint_dir, "*", ".data-gc-*")):
+            shutil.rmtree(dead, ignore_errors=True)
         d = os.path.join(checkpoint_dir, f"{idx:02d}-{name}")
         man = os.path.join(d, "_MANIFEST.json")
         if resuming and os.path.exists(man):

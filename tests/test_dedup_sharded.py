@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from presto_bloomfilter_ray.functions import exact_dedup, minhash_dedup
-from presto_bloomfilter_ray.functions.dedup import (
-    _min_bands_screen,
+from presto_bloomfilter_ray.functions.dedup import _min_bands_screen
+from presto_bloomfilter_ray.functions.keyset import (
     _n_shards_for,
     _pow2,
     _shard_lookup,
@@ -232,7 +232,7 @@ def test_manifest_makes_missing_state_loud(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data as rd
 
-    from presto_bloomfilter_ray.functions.dedup import (
+    from presto_bloomfilter_ray.functions.keyset import (
         _MANIFEST_NAME,
         _load_manifest,
         _MANIFEST_CACHE,

@@ -129,14 +129,28 @@ def test_hot_gram_cap_is_loud(ray_session):
     assert stats["capped_grams"] > 0  # dropped grams are visible
 
 
-def test_short_pool_cap_raises(ray_session):
+def test_short_pool_cap_raises(ray_session, monkeypatch):
+    """The cap fires on the pool's count, before any pool row (text
+    included) reaches the driver."""
+    import ray
     import ray.data as rd
+    from ray.data import Dataset
 
+    collected = []
+    orig = Dataset.to_arrow_refs
+
+    def spy(self, *args, **kwargs):
+        refs = orig(self, *args, **kwargs)
+        collected.extend(t.column_names for t in ray.get(refs))
+        return refs
+
+    monkeypatch.setattr(Dataset, "to_arrow_refs", spy)
     df = pd.DataFrame({"doc_id": np.arange(30, dtype=np.int64),
                        "text": ["ab"] * 30})
     ds = rd.from_arrow(pa.Table.from_pandas(df))
     with pytest.raises(ValueError, match="short-string pool"):
         edit_distance_pairs(ds, max_dist=1, short_pool_cap=5)
+    assert not any("txt" in names for names in collected)
 
 
 def test_banded_fuzz_hypothesis():

@@ -153,8 +153,8 @@ def test_pairs_from_buckets_allpairs_and_star():
 
 
 def test_minhash_dedup_distributed_equals_unionfind(ray_session):
-    """The default distributed clustering must agree with the driver
-    union-find on kept set and dup_map."""
+    """The distributed clustering keeps the component min ids and maps
+    every near-duplicate to its component's kept id."""
     import ray.data as rd
 
     base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 15
@@ -165,13 +165,10 @@ def test_minhash_dedup_distributed_equals_unionfind(ray_session):
         {"doc_id": 4, "text": "unrelated material entirely different " * 20},
     ]
     ds = rd.from_items(rows)
-    kept_d, map_d = minhash_dedup(ds, threshold=0.5, distributed_cc=True)
-    kept_u, map_u = minhash_dedup(ds, threshold=0.5, distributed_cc=False)
+    kept_d, map_d = minhash_dedup(ds, threshold=0.5)
     ids_d = sorted(r["doc_id"] for r in kept_d.take_all())
-    ids_u = sorted(r["doc_id"] for r in kept_u.take_all())
-    assert ids_d == ids_u == [1, 4]
-    assert {k: v for k, v in map_d.items() if k != v} == \
-           {k: v for k, v in map_u.items() if k != v} == {2: 1, 3: 1}
+    assert ids_d == [1, 4]
+    assert {k: v for k, v in map_d.items() if k != v} == {2: 1, 3: 1}
 
 
 def test_lsh_candidate_pairs_returns_dataset_no_driver_rows(ray_session):
@@ -267,7 +264,7 @@ def test_boilerplate_line_removal(ray_session, duck):
     ]
     ds = rd.from_items(rows).repartition(3)
     hot = boilerplate_lines(ds, min_count=2)
-    assert hot["kind"] == "array" and len(hot["hashes"]) == 2
+    assert hot.tier == "broadcast" and hot.n == 2
     out = {r["doc_id"]: r["text"] for r in
            remove_boilerplate_lines(ds, hot).take_all()}
     assert out[1] == "real content one"
@@ -277,7 +274,7 @@ def test_boilerplate_line_removal(ray_session, duck):
     assert out[5] == "no newline single unique line"
     # sharded path (forced) produces identical output
     hot2 = boilerplate_lines(ds, min_count=2, broadcast_limit=0)
-    assert hot2["kind"] == "shards"
+    assert hot2.tier == "sharded"
     out2 = {r["doc_id"]: r["text"] for r in
             remove_boilerplate_lines(ds, hot2).take_all()}
     assert out2 == out

@@ -22,7 +22,7 @@ def _corpus():
 
 @pytest.mark.parametrize("kwargs", [
     {},                                        # broadcast tier
-    {"broadcast_limit": 0, "num_partitions": 2},  # join tier
+    {"broadcast_limit": 0},                    # sharded tier
 ])
 def test_first_occurrence_semantics(ray_session, kwargs):
     import ray.data as rd

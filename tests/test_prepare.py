@@ -197,3 +197,26 @@ def test_prepare_nonadjacent_checkpoint_refused(ray_session, tmp_path):
     with _pytest.raises(RuntimeError, match="holds stage 2 output"):
         prepare_corpus(_mini_docs(), **dict(kw, keep_stages="latest",
                                             host_cap=8))
+
+
+def test_prepare_sweeps_gc_debris(ray_session, tmp_path):
+    """A crash between the GC's rename and its rmtree leaves a
+    '.data-gc-*' directory; the next run reclaims it when a stage
+    starts, and the output is unchanged."""
+    from presto_bloomfilter_ray.pipelines import prepare_corpus
+
+    ck = str(tmp_path / "ck")
+    kw = dict(id_col="doc_id", text_col="text", url_col="url",
+              blocked_hosts=["h0.example.com"], host_cap=10,
+              work_dir=str(tmp_path / "w"), checkpoint_dir=ck)
+    out1, _ = prepare_corpus(_mini_docs(), **kw)
+    ids1 = sorted(r["doc_id"] for r in out1.select_columns(["doc_id"]).take_all())
+    debris = os.path.join(ck, "01-quality_gates", ".data-gc-0badc0de")
+    os.makedirs(debris)
+    with open(os.path.join(debris, "part-0.parquet"), "w") as f:
+        f.write("dead checkpoint data")
+    out2, m2 = prepare_corpus(_mini_docs(), **kw)
+    assert not os.path.exists(debris)
+    assert [m["resumed"] for m in m2] == [True] * 5
+    ids2 = sorted(r["doc_id"] for r in out2.select_columns(["doc_id"]).take_all())
+    assert ids2 == ids1

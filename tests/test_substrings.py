@@ -58,7 +58,7 @@ def _ray_scrub(ray, texts, window=10, min_docs=2, parts=1, **hot_kw):
 def test_matches_brute_force(ray_session):
     want, n_hot = _brute_scrub(DOCS, 10, 2)
     hot, got, rm = _ray_scrub(ray_session, DOCS, window=10)
-    assert hot["n_hot"] == n_hot
+    assert hot.n == n_hot
     assert got == want
     assert rm == [len(a) - len(b) for a, b in zip(DOCS, want)]
 
@@ -66,7 +66,7 @@ def test_matches_brute_force(ray_session):
 def test_unique_corpus_untouched(ray_session):
     texts = ["one unique doc", "another quite different", "third body"]
     hot, got, rm = _ray_scrub(ray_session, texts, window=8)
-    assert hot["n_hot"] == 0
+    assert hot.n == 0
     assert got == texts and rm == [0, 0, 0]
 
 
@@ -74,7 +74,7 @@ def test_within_doc_repetition_not_hot(ray_session):
     # 'aaaa…' repeats within ONE doc only → min_docs=2 leaves it alone
     texts = ["a" * 50, "completely different content here"]
     hot, got, _ = _ray_scrub(ray_session, texts, window=10)
-    assert hot["n_hot"] == 0 and got == texts
+    assert hot.n == 0 and got == texts
 
 
 def test_unicode_codepoint_semantics(ray_session):
@@ -90,14 +90,14 @@ def test_partitioning_invariance(ray_session):
     w1 = _ray_scrub(ray_session, DOCS, window=10, parts=1)
     w3 = _ray_scrub(ray_session, DOCS, window=10, parts=3)
     assert w1[1:] == w3[1:]
-    assert w1[0]["n_hot"] == w3[0]["n_hot"]
+    assert w1[0].n == w3[0].n
 
 
 def test_sharded_path_matches_broadcast(ray_session, tmp_path):
     _, want, want_rm = _ray_scrub(ray_session, DOCS, window=10)
     hot, got, rm = _ray_scrub(ray_session, DOCS, window=10,
                               broadcast_limit=0, work_dir=str(tmp_path))
-    assert hot["kind"] == "shards"
+    assert hot.tier == "sharded"
     assert got == want and rm == want_rm
 
 
@@ -121,7 +121,7 @@ def test_min_docs_threshold(ray_session):
     # windows of length len(BANNER) fit inside it
     hot3, got3, _ = _ray_scrub(ray_session, texts, window=len(BANNER),
                                min_docs=3)
-    assert hot3["n_hot"] == 3 and all(BANNER not in g for g in got3)
+    assert hot3.n == 3 and all(BANNER not in g for g in got3)
     hot4, got4, _ = _ray_scrub(ray_session, texts, window=len(BANNER),
                                min_docs=4)
-    assert hot4["n_hot"] == 0 and got4 == texts
+    assert hot4.n == 0 and got4 == texts
