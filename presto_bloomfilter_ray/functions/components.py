@@ -27,9 +27,8 @@ the label lookup is deliberately broadcast + searchsorted instead.
 For graphs whose NODE SET outgrows driver memory entirely (extreme
 near-duplication at 10^10+ docs), :func:`connected_components_ds`
 keeps the label table a hash-partitioned **Dataset** end to end —
-per-round label attach runs as co-partitioned union + ``map_groups``
-(the same topology as dedup's ``_verify_pairs``), and convergence is
-a tiny changed-count aggregate. 3 sort-shuffles per round vs zero for
+per-round label attach runs as :func:`~.fold.co_attach` exchanges,
+and convergence is a tiny changed-count aggregate. 3 sort-shuffles per round vs zero for
 the broadcast path, so it's the opt-in for when the contract above no
 longer holds, not the default.
 """
@@ -41,7 +40,18 @@ import pyarrow as pa
 
 import ray
 
-from .fold import bucket_fold, exchange_width
+from .fold import bucket_fold, co_attach, exchange_width
+
+
+def _fold_pairs(n: np.ndarray, l: np.ndarray):
+    """Min-fold (node, label) pairs → sorted distinct nodes, min labels."""
+    order = np.argsort(n, kind="stable")
+    n, l = n[order], l[order]
+    first = np.ones(len(n), dtype=bool)
+    if len(n) > 1:
+        first[1:] = np.diff(n) != 0
+    lab = np.minimum.reduceat(l, np.flatnonzero(first)) if len(n) else l
+    return n[first], lab
 
 
 def _fold_batches(batches):
@@ -52,16 +62,23 @@ def _fold_batches(batches):
         label_parts.append(np.asarray(b.column("label")))
     if not nodes_parts:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    n = np.concatenate(nodes_parts).astype(np.int64)
-    l = np.concatenate(label_parts).astype(np.int64)
-    order = np.argsort(n, kind="stable")
-    n, l = n[order], l[order]
-    first = np.ones(len(n), dtype=bool)
-    if len(n) > 1:
-        first[1:] = np.diff(n) != 0
-    out_n = n[first]
-    out_l = np.minimum.reduceat(l, np.flatnonzero(first)) if len(n) else l
-    return out_n, out_l
+    return _fold_pairs(np.concatenate(nodes_parts).astype(np.int64),
+                       np.concatenate(label_parts).astype(np.int64))
+
+
+def _propose(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> pa.Table:
+    """Each edge proposes label ``m`` to both endpoints; min-folded."""
+    n, lab = _fold_pairs(np.concatenate([a, b]).astype(np.int64),
+                         np.concatenate([m, m]))
+    return pa.table({"node": pa.array(n), "label": pa.array(lab)})
+
+
+def _propose0(batch: pa.Table) -> pa.Table:
+    """Round 0 fused with node discovery: with labels initialized to
+    node ids, the first proposal for each endpoint is min(a, b)."""
+    a = np.asarray(batch.column("a")).astype(np.int64)
+    b = np.asarray(batch.column("b")).astype(np.int64)
+    return _propose(a, b, np.minimum(a, b))
 
 
 def connected_components(edges, max_iters: int = 50,
@@ -79,24 +96,8 @@ def connected_components(edges, max_iters: int = 50,
     elif not isinstance(edges, MaterializedDataset):
         edges = edges.materialize()
 
-    # round 0 fused with node discovery: with labels initialized to node
-    # ids, the first propagation's proposal for each endpoint is simply
-    # min(a, b) — map-side fold per batch, driver fold across batches.
-    def propose0(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a")).astype(np.int64)
-        b = np.asarray(batch.column("b")).astype(np.int64)
-        m = np.minimum(a, b)
-        n = np.concatenate([a, b])
-        l = np.concatenate([m, m])
-        order = np.argsort(n, kind="stable")
-        n, l = n[order], l[order]
-        first = np.ones(len(n), dtype=bool)
-        if len(n) > 1:
-            first[1:] = np.diff(n) != 0
-        lab = np.minimum.reduceat(l, np.flatnonzero(first)) if len(n) else l
-        return pa.table({"node": pa.array(n[first]), "label": pa.array(lab)})
-
-    p0 = edges.map_batches(propose0, batch_format="pyarrow")
+    # round 0: map-side fold per batch, driver fold across batches
+    p0 = edges.map_batches(_propose0, batch_format="pyarrow")
     if shuffle_rounds:
         df0 = bucket_fold(p0, ["node"],
                           [("label", "min", "label")]).to_pandas()
@@ -114,18 +115,8 @@ def connected_components(edges, max_iters: int = 50,
             nd, lb = ray.get(ref)
             a = np.asarray(batch.column("a"))
             b = np.asarray(batch.column("b"))
-            la = lb[np.searchsorted(nd, a)]
-            lbb = lb[np.searchsorted(nd, b)]
-            m = np.minimum(la, lbb)
-            n = np.concatenate([a, b]).astype(np.int64)
-            l = np.concatenate([m, m])
-            order = np.argsort(n, kind="stable")
-            n, l = n[order], l[order]
-            first = np.ones(len(n), dtype=bool)
-            if len(n) > 1:
-                first[1:] = np.diff(n) != 0
-            lab = np.minimum.reduceat(l, np.flatnonzero(first)) if len(n) else l
-            return pa.table({"node": pa.array(n[first]), "label": pa.array(lab)})
+            return _propose(a, b, np.minimum(lb[np.searchsorted(nd, a)],
+                                             lb[np.searchsorted(nd, b)]))
 
         prop = edges.map_batches(propose, batch_format="pyarrow")
         if shuffle_rounds:
@@ -165,9 +156,9 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
     ``edges``: Dataset with int64 columns ``a``/``b`` → Dataset
     ``(node, component)``, component = min node id of the component.
 
-    Topology per round (same co-partitioned union + ``map_groups``
-    pattern as dedup's ``_verify_pairs``; ``Dataset.join`` avoided for
-    the reason in the module docstring):
+    Topology per round: each step is one :func:`~.fold.co_attach` of
+    the label table to rows keyed by a node id (``Dataset.join``
+    avoided for the reason in the module docstring):
 
     1. attach ``label(a)`` to each edge in the ``a & mask`` partition,
        re-key the edge by ``b``;
@@ -211,165 +202,73 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
             {"node": pd.Series([], dtype="int64"),
              "component": pd.Series([], dtype="int64")}))
     n_parts = exchange_width(n_edges, n_parts)
-    mask = np.int64(n_parts - 1)
-
-    def _fold_pairs(n: np.ndarray, l: np.ndarray):
-        """Min-fold (node, label) pairs → distinct nodes, min labels."""
-        order = np.argsort(n, kind="stable")
-        n, l = n[order], l[order]
-        first = np.ones(len(n), dtype=bool)
-        if len(n) > 1:
-            first[1:] = np.diff(n) != 0
-        lab = np.minimum.reduceat(l, np.flatnonzero(first)) if len(n) else l
-        return n[first], lab
-
-    # round 0 fused with node discovery (see connected_components)
-    def propose0(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a")).astype(np.int64)
-        b = np.asarray(batch.column("b")).astype(np.int64)
-        m = np.minimum(a, b)
-        n, lab = _fold_pairs(np.concatenate([a, b]), np.concatenate([m, m]))
-        return pa.table({"node": pa.array(n), "label": pa.array(lab)})
 
     labels = _sever(bucket_fold(
-        edges.map_batches(propose0, batch_format="pyarrow"),
+        edges.map_batches(_propose0, batch_format="pyarrow"),
         ["node"], [("label", "min", "label")],
         num_buckets=n_parts).materialize())
 
-    def label_rows(b: pa.Table) -> pa.Table:
-        node = b.column("node").cast(pa.int64())
-        return pa.table({
-            "key": node,
-            "other": pa.nulls(b.num_rows, pa.int64()),
-            "lab": b.column("label").cast(pa.int64()),
-            "part": pa.compute.bit_wise_and(node, int(mask)),
-        })
+    # every exchange attaches the current label table (the left side,
+    # sorted by node; `labels` is rebound each round) to rows keyed by
+    # some node id
+    i64 = pa.int64()
+    lab_schema = [("node", i64), ("label", i64)]
 
-    def edge_rows(b: pa.Table) -> pa.Table:
-        a = b.column("a").cast(pa.int64())
-        return pa.table({
-            "key": a,
-            "other": b.column("b").cast(pa.int64()),
-            "lab": pa.nulls(b.num_rows, pa.int64()),
-            "part": pa.compute.bit_wise_and(a, int(mask)),
-        })
+    def attach(right, fn, right_key, right_schema):
+        return co_attach(labels, right, fn, left_key="node",
+                         right_key=right_key, n_parts=n_parts,
+                         left_schema=lab_schema, right_schema=right_schema)
 
-    def _split(g: pa.Table):
-        """→ (sorted label keys, labels, non-label rows table)."""
-        is_lab = pa.compute.is_null(g.column("other"))
-        lab_t = g.filter(is_lab)
-        rest = g.filter(pa.compute.invert(is_lab))
-        lk = np.asarray(lab_t.column("key"))
-        lv = np.asarray(lab_t.column("lab"))
-        order = np.argsort(lk)
-        return lk[order], lv[order], rest
+    def label_of(lab: pa.Table, keys: np.ndarray) -> np.ndarray:
+        return np.asarray(lab.column("label"))[
+            np.searchsorted(np.asarray(lab.column("node")), keys)]
 
-    def attach_a(g: pa.Table) -> pa.Table:
-        lk, lv, et = _split(g)
-        if et.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "other": pa.array([], pa.int64()),
-                             "lab": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
-        a = np.asarray(et.column("key")).astype(np.int64)
-        b = np.asarray(et.column("other")).astype(np.int64)
-        la = lv[np.searchsorted(lk, a)]
-        return pa.table({"key": pa.array(b), "other": pa.array(a),
-                         "lab": pa.array(la),
-                         "part": pa.array(b & mask)})
+    def attach_a(lab: pa.Table, e: pa.Table) -> pa.Table:
+        a = np.asarray(e.column("a"))
+        # re-keyed by b; "label" is label(a)
+        return pa.table({"b": e.column("b"), "a": e.column("a"),
+                         "label": pa.array(label_of(lab, a), i64)})
 
-    def attach_b_propose(g: pa.Table) -> pa.Table:
-        lk, lv, et = _split(g)
-        if et.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "lab": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
-        b = np.asarray(et.column("key")).astype(np.int64)
-        a = np.asarray(et.column("other")).astype(np.int64)
-        la = np.asarray(et.column("lab")).astype(np.int64)
-        m = np.minimum(la, lv[np.searchsorted(lk, b)])
-        n, lab = _fold_pairs(np.concatenate([a, b]), np.concatenate([m, m]))
-        return pa.table({"node": pa.array(n), "lab": pa.array(lab),
-                         "part": pa.array(n & mask)})
+    def attach_b_propose(lab: pa.Table, e: pa.Table) -> pa.Table:
+        b = np.asarray(e.column("b"))
+        return _propose(np.asarray(e.column("a")), b, np.minimum(
+            np.asarray(e.column("label")), label_of(lab, b)))
 
-    def prop_rows(b: pa.Table) -> pa.Table:
-        # proposals join the label stream keyed by node; other=-1 marks
-        # them as non-label rows for _split
-        node = b.column("node").cast(pa.int64())
-        return pa.table({
-            "key": node,
-            "other": pa.compute.multiply(
-                pa.compute.cast(pa.compute.is_valid(node), pa.int64()), -1),
-            "lab": b.column("lab").cast(pa.int64()),
-            "part": b.column("part").cast(pa.int64()),
-        })
-
-    def fold_update(g: pa.Table) -> pa.Table:
-        lk, lv, pt = _split(g)
+    def fold_update(lab: pa.Table, prop: pa.Table) -> pa.Table:
+        lk = np.asarray(lab.column("node"))
+        lv = np.asarray(lab.column("label"))
+        pn, pl = _fold_pairs(np.asarray(prop.column("node")),
+                             np.asarray(prop.column("label")))
         out_lab = lv.copy()
-        changed = np.zeros(len(lk), dtype=np.int64)
-        if pt.num_rows:
-            pn = np.asarray(pt.column("key")).astype(np.int64)
-            pl = np.asarray(pt.column("lab")).astype(np.int64)
-            pn, pl = _fold_pairs(pn, pl)
-            idx = np.searchsorted(lk, pn)
-            np.minimum.at(out_lab, idx, pl)
-            changed[idx] = (out_lab[idx] < lv[idx]).astype(np.int64)
-        return pa.table({"node": pa.array(lk), "label": pa.array(out_lab),
-                         "changed": pa.array(changed)})
+        idx = np.searchsorted(lk, pn)
+        np.minimum.at(out_lab, idx, pl)
+        return pa.table({"node": pa.array(lk, i64),
+                         "label": pa.array(out_lab, i64),
+                         "changed": pa.array((out_lab < lv).astype(np.int64))})
 
-    def jump_request_rows(b: pa.Table) -> pa.Table:
-        # keyed by the CURRENT label so the row lands where that
-        # label's own label row lives; `other` carries the node
-        lab = b.column("label").cast(pa.int64())
-        return pa.table({
-            "key": lab,
-            "other": b.column("node").cast(pa.int64()),
-            "lab": pa.nulls(b.num_rows, pa.int64()),
-            "part": pa.compute.bit_wise_and(lab, int(mask)),
-        })
-
-    def jump(g: pa.Table) -> pa.Table:
-        lk, lv, rt = _split(g)
-        if rt.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "label": pa.array([], pa.int64())})
-        nodes = np.asarray(rt.column("other")).astype(np.int64)
-        cur = np.asarray(rt.column("key")).astype(np.int64)
-        ll = lv[np.searchsorted(lk, cur)]  # label(label(n)) <= label(n)
-        return pa.table({"node": pa.array(nodes), "label": pa.array(ll)})
+    def jump(lab: pa.Table, req: pa.Table) -> pa.Table:
+        # requests are keyed by the CURRENT label, so each lands where
+        # that label's own label row lives: label(label(n)) <= label(n)
+        return pa.table({"node": req.column("node"),
+                         "label": pa.array(
+                             label_of(lab, np.asarray(req.column("label"))),
+                             i64)})
 
     converged = False
     for _ in range(max_iters):
-        lab_stream = labels.map_batches(label_rows, batch_format="pyarrow")
-        phase1 = (
-            lab_stream.union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-            .repartition(n_parts)
-            .groupby("part").map_groups(attach_a, batch_format="pyarrow")
-        )
-        proposals = (
-            lab_stream.union(phase1)
-            .repartition(n_parts)
-            .groupby("part").map_groups(attach_b_propose, batch_format="pyarrow")
-        )
-        updated = (
-            lab_stream.union(proposals.map_batches(prop_rows, batch_format="pyarrow"))
-            .repartition(n_parts)
-            .groupby("part").map_groups(fold_update, batch_format="pyarrow")
-        ).materialize()
+        phase1 = attach(edges, attach_a, "a", [("a", i64), ("b", i64)])
+        proposals = attach(phase1, attach_b_propose, "b",
+                           [("b", i64), ("a", i64), ("label", i64)])
+        updated = attach(proposals, fold_update, "node",
+                         lab_schema).materialize()
         n_changed = updated.sum("changed")
         labels = _sever(updated.select_columns(["node", "label"]).materialize())
         if not n_changed:
             converged = True
             break
         if shortcut:
-            lab_stream2 = labels.map_batches(label_rows, batch_format="pyarrow")
-            labels = _sever((
-                lab_stream2.union(labels.map_batches(jump_request_rows,
-                                                     batch_format="pyarrow"))
-                .repartition(n_parts)
-                .groupby("part").map_groups(jump, batch_format="pyarrow")
-            ).materialize())
+            labels = _sever(attach(labels, jump, "label",
+                                   lab_schema).materialize())
     if not converged:
         # silent truncation would return WRONG components (a chain of
         # length > max_iters without shortcutting, e.g.); fail loudly

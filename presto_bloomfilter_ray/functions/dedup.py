@@ -18,9 +18,9 @@ table. Partitioning contracts (100 TB design notes):
   found); buckets above ``pair_cutoff`` fall back to star edges
   (hub → members), bounding the edge set by docs × bands even on
   template-heavy corpora. Jaccard verification attaches signatures to
-  edges through two co-partitioned shuffles (sig rows and edge rows
-  union-grouped on the same key space) — each signature crosses the
-  wire once per phase; no broadcast, no driver dict. The final
+  edges through two :func:`~.fold.co_attach` exchanges (sig rows and
+  edge rows co-partitioned on the same key space) — each signature
+  crosses the wire once per phase; no broadcast, no driver dict. The final
   connected-components step runs on the verified edge set (min-label
   propagation over the edge Dataset).
 """
@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
-from .fold import exchange_width
+from .fold import co_attach, exchange_width
 from .keyset import KeySet
 
 
@@ -405,119 +405,81 @@ def _sig_type(num_perm: int):
     return pa.list_(pa.uint16(), num_perm)
 
 
+def _sig_matrix(t: pa.Table, num_perm: int) -> np.ndarray:
+    """``t``'s ``sig`` column as a ``[rows, num_perm]`` uint16 matrix."""
+    return np.asarray(t.column("sig").combine_chunks().flatten()
+                      ).reshape(t.num_rows, num_perm)
+
+
+def _sig_array(S: np.ndarray, num_perm: int) -> pa.Array:
+    """Inverse of :func:`_sig_matrix`: rows → a ``sig`` column."""
+    return pa.FixedSizeListArray.from_arrays(pa.array(S.reshape(-1)),
+                                             num_perm)
+
+
+def _band_screen(a: np.ndarray, b: np.ndarray, min_bands: int):
+    """Distinct candidate pairs ``(a, b)`` seen in at least
+    ``min_bands`` rows, sorted by ``(a, b)``. Every colliding band
+    emits one copy of a pair, so a pair's run length after one
+    ``lexsort`` is its band-collision count: the dedupe and the
+    band-collision screen cost one sort."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.ones(len(a), dtype=bool)
+    if len(a) > 1:
+        first[1:] = (np.diff(a) != 0) | (b[1:] != b[:-1])
+    starts = np.flatnonzero(first)
+    keep = starts[np.diff(np.append(starts, len(a))) >= min_bands]
+    return a[keep], b[keep]
+
+
 def _verify_pairs(sig_ds, edges, num_perm: int, id_col: str, n_parts: int,
                   min_est: float = 0.0, min_bands: int = 1):
     """Distributed signature verification: estimate Jaccard for every
     candidate edge WITHOUT broadcasting signatures or touching the
     driver.
 
-    Two co-partitioned shuffles: phase A unions signature rows
-    ``(key=id, sig)`` with edge rows ``(key=a, other=b)`` grouped on
-    ``key & (n_parts-1)`` and attaches ``sig_a`` via one vectorized
-    ``searchsorted`` per partition; phase B repeats keyed by ``b`` and
-    emits ``(a, b, est_jaccard)``. Each signature crosses the wire once
-    per phase; each edge carries one signature through phase B only.
+    Two :func:`~.fold.co_attach` exchanges: phase A co-partitions
+    signature rows ``(id, sig)`` with edge rows ``(a, b)`` on ``a`` and
+    attaches ``sig_a`` via one vectorized ``searchsorted`` per
+    partition; phase B repeats keyed by ``b`` and emits
+    ``(a, b, est_jaccard)``. Each signature crosses the wire once per
+    phase; each edge carries one signature through phase B only.
 
     Phase A also DEDUPES edges and applies the ``min_bands``
-    band-collision screen: every copy of a pair (one per colliding
-    band) has the same ``a``, hence the same partition — so run-length
-    counting inside the group replaces a whole extra
-    ``groupby(a, b)`` shuffle.
+    band-collision screen (:func:`_band_screen`): every copy of a pair
+    (one per colliding band) has the same ``a``, hence the same
+    partition — so run-length counting inside the group replaces a
+    whole extra ``groupby(a, b)`` shuffle.
     """
-    fsl = _sig_type(num_perm)
+    i64, fsl = pa.int64(), _sig_type(num_perm)
+    sig_schema = [(id_col, i64), ("sig", fsl)]
 
-    def sig_rows(b: pa.Table) -> pa.Table:
-        key = b.column(id_col).cast(pa.int64())
-        return pa.table({
-            "key": key,
-            "other": pa.nulls(b.num_rows, pa.int64()),
-            "sig": b.column("sig"),
-            "part": pc.bit_wise_and(key, n_parts - 1),
-        })
+    def attach_a(sigs: pa.Table, e: pa.Table) -> pa.Table:
+        a, b = _band_screen(np.asarray(e.column("a")),
+                            np.asarray(e.column("b")), min_bands)
+        pos = np.searchsorted(np.asarray(sigs.column(id_col)), a)
+        return pa.table({"b": pa.array(b, i64), "a": pa.array(a, i64),
+                         "sig": _sig_array(
+                             _sig_matrix(sigs, num_perm)[pos], num_perm)})
 
-    def edge_rows(b: pa.Table) -> pa.Table:
-        key = b.column("a").cast(pa.int64())
-        return pa.table({
-            "key": key,
-            "other": b.column("b").cast(pa.int64()),
-            "sig": pa.nulls(b.num_rows, fsl),
-            "part": pc.bit_wise_and(key, n_parts - 1),
-        })
+    def verify_b(sigs: pa.Table, e: pa.Table) -> pa.Table:
+        pos = np.searchsorted(np.asarray(sigs.column(id_col)),
+                              np.asarray(e.column("b")))
+        est = (_sig_matrix(e, num_perm)
+               == _sig_matrix(sigs, num_perm)[pos]).mean(axis=1)
+        ok = pa.array(est >= min_est)  # the caller's threshold
+        return pa.table({"a": e.column("a").filter(ok),
+                         "b": e.column("b").filter(ok),
+                         "est_jaccard": pa.array(est, pa.float64()).filter(ok)})
 
-    def _split(g: pa.Table):
-        is_edge = pc.is_valid(g.column("other"))
-        sig_t = g.filter(pc.invert(is_edge))
-        edge_t = g.filter(is_edge)
-        skeys = np.asarray(sig_t.column("key"))
-        order = np.argsort(skeys)
-        skeys = skeys[order]
-        S = np.asarray(
-            sig_t.column("sig").combine_chunks().flatten()
-        ).reshape(sig_t.num_rows, num_perm)[order]
-        return skeys, S, edge_t
-
-    def attach_a(g: pa.Table) -> pa.Table:
-        skeys, S, edge_t = _split(g)
-        if edge_t.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "other": pa.array([], pa.int64()),
-                             "sig": pa.array([], fsl),
-                             "part": pa.array([], pa.int64())})
-        a = np.asarray(edge_t.column("key"))
-        b = np.asarray(edge_t.column("other"))
-        # dedupe (a, b) + band-collision screen via run-length counts
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.ones(len(a), dtype=bool)
-        if len(a) > 1:
-            first[1:] = (np.diff(a) != 0) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(first)
-        n_bands = np.diff(np.append(starts, len(a)))
-        keep = starts[n_bands >= min_bands]
-        a_u, b_u = a[keep], b[keep]
-        sig_a = S[np.searchsorted(skeys, a_u)]
-        return pa.table({
-            "key": pa.array(b_u),  # re-key by b for phase B
-            "other": pa.array(a_u),
-            "sig": pa.FixedSizeListArray.from_arrays(
-                pa.array(sig_a.reshape(-1)), num_perm),
-            "part": pa.array(b_u & np.int64(n_parts - 1)),
-        })
-
-    def verify_b(g: pa.Table) -> pa.Table:
-        skeys, S, edge_t = _split(g)
-        if edge_t.num_rows == 0:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "est_jaccard": pa.array([], pa.float64())})
-        sig_b = S[np.searchsorted(skeys, np.asarray(edge_t.column("key")))]
-        sig_a = np.asarray(
-            edge_t.column("sig").combine_chunks().flatten()
-        ).reshape(edge_t.num_rows, num_perm)
-        est = (sig_a == sig_b).mean(axis=1)
-        ok = est >= min_est  # fold the caller's threshold into the stage
-        return pa.table({"a": pc.take(edge_t.column("other"), pa.array(np.flatnonzero(ok))),
-                         "b": pc.take(edge_t.column("key"), pa.array(np.flatnonzero(ok))),
-                         "est_jaccard": pa.array(est[ok])})
-
-    # coalesce before each groupby: the sort-based shuffle fragments
-    # every input block into every output partition, so hundreds of
-    # tiny upstream blocks (parquet SplitBlocks × map fan-out) make it
-    # quadratic in fragments — measured 16.6 s for a trivial
-    # groupby over 291 small blocks vs 0.8 s after repartition(32) at
-    # 200k docs. One block per hash partition is the natural layout;
-    # raise ``n_parts`` with cluster size.
-    sigs = sig_ds.map_batches(sig_rows, batch_format="pyarrow")
-    phase_a = (
-        sigs.union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-        .repartition(n_parts)
-        .groupby("part").map_groups(attach_a, batch_format="pyarrow")
-    )
-    return (
-        sigs.union(phase_a)
-        .repartition(n_parts)
-        .groupby("part").map_groups(verify_b, batch_format="pyarrow")
-    )
+    phase_a = co_attach(sig_ds, edges, attach_a, left_key=id_col,
+                        right_key="a", n_parts=n_parts,
+                        left_schema=sig_schema,
+                        right_schema=[("a", i64), ("b", i64)])
+    return co_attach(sig_ds, phase_a, verify_b, left_key=id_col,
+                     right_key="b", n_parts=n_parts, left_schema=sig_schema,
+                     right_schema=[("b", i64), ("a", i64), ("sig", fsl)])
 
 
 def _min_bands_screen(bands: int, num_perm: int, min_est: float,
@@ -606,7 +568,7 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     pairs = (
         sig_ds.select_columns([id_col, "band_hash"])
         .map_batches(explode, batch_format="pyarrow")
-        .repartition(n_parts)  # see _verify_pairs: avoid fragment blowup
+        .repartition(n_parts)  # see fold.co_attach: avoid fragment blowup
         .groupby("part").map_groups(emit_pairs, batch_format="pyarrow")
     )
     # a pair found by several bands must verify once, not per band — and
@@ -829,7 +791,7 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, text_col: str = "text",
 
     pairs = (
         sig_rows.map_batches(add_part, batch_format="pyarrow")
-        .repartition(n_parts)  # see _verify_pairs: avoid fragment blowup
+        .repartition(n_parts)  # see fold.co_attach: avoid fragment blowup
         .groupby("part").map_groups(pair_and_verify, batch_format="pyarrow")
     )
     return bucket_fold(pairs, ["a", "b"],

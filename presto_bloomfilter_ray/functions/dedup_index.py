@@ -34,9 +34,9 @@ Scale shape of :func:`minhash_index_probe` (the hot path):
   shard, emitting id-pair candidates capped at ``max_per_band`` per
   (row, band) so a template-spam bucket cannot go quadratic;
 * verification: phase A attaches the increment signature to each
-  deduped candidate via the co-partitioned union trick of
-  :func:`~.dedup._verify_pairs` (one signature crosses the wire per
-  edge); phase B co-partitions candidates with the index's SIG shards
+  deduped candidate with :func:`~.fold.co_attach`, as
+  :func:`~.dedup._verify_pairs` does (one signature crosses the wire
+  per edge); phase B co-partitions candidates with the index's SIG shards
   and estimates Jaccard from the stored truncated signatures. Neither
   signatures nor candidates ever touch the driver.
 """
@@ -53,8 +53,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import MinHasher, _min_bands_screen, _sig_type
-from .fold import _pow2, exchange_width
+from .dedup import (MinHasher, _band_screen, _min_bands_screen, _sig_array,
+                    _sig_matrix, _sig_type)
+from .fold import _pow2, co_attach, exchange_width
 from .keyset import KeySet, _n_shards_for
 
 _MANIFEST = "MANIFEST.json"
@@ -162,9 +163,7 @@ def _load_part(index_dir: str, kind: str, part: int, gen: int,
             hit = (keys[order], vals[order])
         else:
             keys = np.asarray(t.column("doc_id"))
-            sigs = np.asarray(
-                t.column("sig").combine_chunks().flatten()
-            ).reshape(t.num_rows, num_perm)
+            sigs = _sig_matrix(t, num_perm)
             order = np.argsort(keys, kind="stable")
             hit = (keys[order], sigs[order])
     if len(_IDX_CACHE) >= _IDX_CACHE_CAP:
@@ -335,69 +334,26 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
         .groupby("part").map_groups(band_join, batch_format="pyarrow")
     )
 
-    # verification phase A — identical union/co-partition shape to
-    # _verify_pairs.attach_a: dedupe (a,b), band-collision screen,
-    # attach the NEW side's signature, re-key by the INDEX id
+    # verification phase A — the co_attach of _verify_pairs.attach_a:
+    # dedupe (a,b), band-collision screen, attach the NEW side's
+    # signature, key by the INDEX id's sig shard for phase B
     min_bands = max(1, _min_bands_screen(bands, num_perm, threshold) - 1)
 
-    def sig_rows(b: pa.Table) -> pa.Table:
-        key = b.column(id_col).cast(pa.int64())
+    def attach_new(sigs: pa.Table, e: pa.Table) -> pa.Table:
+        a, b = _band_screen(np.asarray(e.column("a")),
+                            np.asarray(e.column("b")), min_bands)
+        pos = np.searchsorted(np.asarray(sigs.column(id_col)), a)
         return pa.table({
-            "key": key,
-            "other": pa.nulls(b.num_rows, pa.int64()),
-            "sig": b.column("sig"),
-            "part": pc.bit_wise_and(key, n_parts - 1),
+            "new_id": pa.array(a, pa.int64()),
+            "idx_id": pa.array(b, pa.int64()),
+            "sig": _sig_array(_sig_matrix(sigs, num_perm)[pos], num_perm),
+            "part": pa.array(b & np.int64(sshards - 1), pa.int64()),
         })
 
-    def edge_rows(b: pa.Table) -> pa.Table:
-        key = b.column("a").cast(pa.int64())
-        return pa.table({
-            "key": key,
-            "other": b.column("b").cast(pa.int64()),
-            "sig": pa.nulls(b.num_rows, fsl),
-            "part": pc.bit_wise_and(key, n_parts - 1),
-        })
-
-    def attach_new(g: pa.Table) -> pa.Table:
-        is_edge = pc.is_valid(g.column("other"))
-        sig_t = g.filter(pc.invert(is_edge))
-        edge_t = g.filter(is_edge)
-        if edge_t.num_rows == 0:
-            return pa.table({"new_id": pa.array([], pa.int64()),
-                             "idx_id": pa.array([], pa.int64()),
-                             "sig": pa.array([], fsl),
-                             "part": pa.array([], pa.int64())})
-        skeys = np.asarray(sig_t.column("key"))
-        order = np.argsort(skeys)
-        skeys = skeys[order]
-        S = np.asarray(sig_t.column("sig").combine_chunks().flatten()
-                       ).reshape(sig_t.num_rows, num_perm)[order]
-        a = np.asarray(edge_t.column("key"))
-        b = np.asarray(edge_t.column("other"))
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        first = np.ones(len(a), dtype=bool)
-        if len(a) > 1:
-            first[1:] = (np.diff(a) != 0) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(first)
-        nb = np.diff(np.append(starts, len(a)))
-        keep = starts[nb >= min_bands]
-        a_u, b_u = a[keep], b[keep]
-        sig_a = S[np.searchsorted(skeys, a_u)]
-        return pa.table({
-            "new_id": pa.array(a_u),
-            "idx_id": pa.array(b_u),
-            "sig": pa.FixedSizeListArray.from_arrays(
-                pa.array(sig_a.reshape(-1)), num_perm),
-            "part": pa.array(b_u & np.int64(sshards - 1)),
-        })
-
-    cands = (
-        new_sig.map_batches(sig_rows, batch_format="pyarrow")
-        .union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-        .repartition(n_parts)
-        .groupby("part").map_groups(attach_new, batch_format="pyarrow")
-    )
+    cands = co_attach(new_sig, edges, attach_new, left_key=id_col,
+                      right_key="a", n_parts=n_parts,
+                      left_schema=[(id_col, pa.int64()), ("sig", fsl)],
+                      right_schema=[("a", pa.int64()), ("b", pa.int64())])
 
     # phase B: co-partitioned with the index SIG shards — one shard
     # read per partition, vectorized searchsorted + mean-equal estimate
@@ -407,8 +363,7 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
         idx = np.asarray(g.column("idx_id"))
         pos = np.clip(np.searchsorted(skeys, idx), 0, max(0, len(skeys) - 1))
         found = skeys[pos] == idx if len(skeys) else np.zeros(len(idx), bool)
-        sig_new = np.asarray(g.column("sig").combine_chunks().flatten()
-                             ).reshape(g.num_rows, num_perm)
+        sig_new = _sig_matrix(g, num_perm)
         est = np.zeros(len(idx), dtype=np.float64)
         if found.any():
             est[found] = (sig_new[found] == S[pos[found]]).mean(axis=1)
@@ -421,7 +376,7 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
         })
 
     return (cands
-            .repartition(min(sshards, max(n_parts, 4)))
+            .repartition(min(sshards, n_parts))
             .groupby("part").map_groups(verify, batch_format="pyarrow"))
 
 

@@ -36,10 +36,10 @@ driver):
    containment module's run-rank expansion), hot grams above
    ``hot_gram_cap`` dropped LOUDLY via the returned stats; a
    ``bucket_fold`` dedupes pairs;
-4. two co-partitioned shuffles (the `_verify_pairs` shape from
-   :mod:`~.dedup`) attach each side's text to its edges — each doc's
-   text crosses the wire once per phase — apply the length filter,
-   and verify survivors with a BATCH-VECTORIZED banded Levenshtein:
+4. two :func:`~.fold.co_attach` exchanges attach each side's text
+   to its edges — each doc's text crosses the wire once per phase —
+   apply the length filter, and verify survivors with a
+   BATCH-VECTORIZED banded Levenshtein:
    the DP iterates byte rows in Python but each row is one numpy op
    over ``[pairs, 2d+1]``, so per-pair cost is C-speed regardless of
    candidate volume.
@@ -54,7 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .containment import _expand_pairs
-from .fold import bucket_fold
+from .fold import bucket_fold, co_attach
 
 __all__ = ["edit_distance_pairs", "banded_levenshtein"]
 
@@ -249,8 +249,6 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
         raise ValueError("max_dist must be >= 0")
     d = int(max_dist)
     qd = q * d
-    if n_parts & (n_parts - 1):  # bit_wise_and partitioner needs 2^k
-        n_parts = 1 << n_parts.bit_length()
 
     grams = ds.map_batches(
         lambda b: _doc_qgrams(b, id_col, text_col, q)[0],
@@ -314,24 +312,8 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
     prefix_grams = ds.map_batches(prefix_rows, batch_format="pyarrow",
                                   batch_size=None)
 
-    def doc_rows(b: pa.Table) -> pa.Table:
-        ids = b.column(id_col).cast(pa.int64())
-        return pa.table({
-            "key": ids,
-            "other": pa.nulls(b.num_rows, pa.int64()),
-            "inter": pa.nulls(b.num_rows, pa.int64()),
-            "txt": b.column(text_col).cast(pa.large_string()),
-            "txt_o": pa.nulls(b.num_rows, pa.large_string()),
-            "part": pc.bit_wise_and(ids, n_parts - 1),
-        })
-
-    # docs_tag is corpus-sized: deliberately NOT materialized — each
-    # consumer re-streams the (cheap) tag map from the source rather
-    # than pinning the whole corpus's text in the object store
-    docs_tag = ds.map_batches(doc_rows, batch_format="pyarrow")
-
     # ---- short pool: <= q*d distinct grams can match sharing none
-    # (its own gram pass over ds — the tag map above stays gram-free)
+    # (its own gram pass over ds — the verify exchanges stay gram-free)
     def pool_rows(b: pa.Table) -> pa.Table:
         _, st = _doc_qgrams(b, id_col, text_col, q)
         m = pc.less_equal(st.column("ng"), pa.scalar(qd, pa.int64()))
@@ -391,94 +373,58 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
 
     def edge_rows(b: pa.Table) -> pa.Table:
         key = np.asarray(b.column("key"), dtype=np.int64)
-        a = pa.array(key // int(_PACK))
-        return pa.table({
-            "key": a,
-            "other": pa.array(key % int(_PACK)),
-            "inter": b.column("inter").cast(pa.int64()),
-            "txt": pa.nulls(b.num_rows, pa.large_string()),
-            "txt_o": pa.nulls(b.num_rows, pa.large_string()),
-            "part": pc.bit_wise_and(a, n_parts - 1),
-        })
+        return pa.table({"a": pa.array(key // int(_PACK)),
+                         "b": pa.array(key % int(_PACK))})
 
     # materialize edges so the hot-gram cap counts are final before
     # stats are read (pairs_of runs during THIS execution, not later)
     edges = inter.map_batches(edge_rows, batch_format="pyarrow",
                               batch_size=None).materialize()
 
-    def _split(g: pa.Table):
-        is_edge = pc.is_valid(g.column("other"))
-        doc_t = g.filter(pc.invert(is_edge))
-        edge_t = g.filter(is_edge)
-        dkeys = np.asarray(doc_t.column("key"))
-        order = np.argsort(dkeys)
-        return (dkeys[order], doc_t.column("txt").take(pa.array(order)),
-                edge_t)
+    # ---- verification: two co_attach exchanges attach each side's
+    # text to its edges. The corpus-sized doc side is deliberately NOT
+    # materialized — each exchange re-streams it from the source rather
+    # than pinning the whole corpus's text in the object store
+    i64, txt = pa.int64(), pa.large_string()
+    doc_schema = [(id_col, i64), (text_col, txt)]
 
-    def attach_a(g: pa.Table) -> pa.Table:
-        dkeys, dtxt, edge_t = _split(g)
-        n = edge_t.num_rows
-        if n == 0:
-            return edge_t.select(["key", "other", "inter",
-                                  "txt", "txt_o", "part"])
-        a = np.asarray(edge_t.column("key"))
-        bb = np.asarray(edge_t.column("other"))
+    def attach_a(docs: pa.Table, e: pa.Table) -> pa.Table:
+        a = np.asarray(e.column("a"))
+        bb = np.asarray(e.column("b"))
         # pool-pool pairs are handled exhaustively by the short pool —
         # drop them here so a gram-sharing pool pair isn't emitted twice
         pids = ray.get(pool_ref)
         if pids.size:
-            both = np.isin(a, pids) & np.isin(bb, pids)
-            if both.any():
-                edge_t = edge_t.filter(pa.array(~both))
-                if edge_t.num_rows == 0:
-                    return edge_t.select(["key", "other", "inter",
-                                          "txt", "txt_o", "part"])
-                a = np.asarray(edge_t.column("key"))
-        n = edge_t.num_rows
-        pos = np.searchsorted(dkeys, a)
-        bkey = edge_t.column("other")
-        return pa.table({
-            "key": bkey,  # re-key by b for phase B
-            "other": edge_t.column("key"),
-            "inter": edge_t.column("inter"),
-            "txt": pa.nulls(n, pa.large_string()),
-            "txt_o": dtxt.take(pa.array(pos)),
-            "part": pc.bit_wise_and(bkey.cast(pa.int64()), n_parts - 1),
-        })
+            keep = ~(np.isin(a, pids) & np.isin(bb, pids))
+            e, a = e.filter(pa.array(keep)), a[keep]
+        pos = np.searchsorted(np.asarray(docs.column(id_col)), a)
+        return pa.table({"b": e.column("b"), "a": e.column("a"),
+                         "txt_a": docs.column(text_col).take(pos)})
 
-    def verify_b(g: pa.Table) -> pa.Table:
-        dkeys, dtxt, edge_t = _split(g)
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "dist": pa.array([], pa.int32())})
-        if edge_t.num_rows == 0:
-            return empty
-        bkey = np.asarray(edge_t.column("key"))
-        pos = np.searchsorted(dkeys, bkey)
-        A, la = _padded_bytes(edge_t.column("txt_o"))
-        B, lb = _padded_bytes(dtxt.take(pa.array(pos)))
+    def verify_b(docs: pa.Table, e: pa.Table) -> pa.Table:
+        bkey = np.asarray(e.column("b"))
+        pos = np.searchsorted(np.asarray(docs.column(id_col)), bkey)
+        A, la = _padded_bytes(e.column("txt_a"))
+        B, lb = _padded_bytes(docs.column(text_col).take(pos))
         # length filter (the count filter is subsumed by prefix
         # filtering upstream; the banded DP itself is the exact check)
         keep = np.abs(la - lb) <= d
-        if not keep.any():
-            return empty
-        av = np.asarray(edge_t.column("other"))[keep]
-        bv = bkey[keep]
         dist = banded_levenshtein(A[keep], la[keep], B[keep], lb[keep], d)
         ok = dist <= d
-        return pa.table({"a": pa.array(av[ok]), "b": pa.array(bv[ok]),
-                         "dist": pa.array(dist[ok])})
+        return pa.table({
+            "a": pa.array(np.asarray(e.column("a"))[keep][ok], i64),
+            "b": pa.array(bkey[keep][ok], i64),
+            "dist": pa.array(dist[ok], pa.int32())})
 
-    phase_a = (
-        docs_tag.union(edges)
-        .repartition(n_parts)
-        .groupby("part").map_groups(attach_a, batch_format="pyarrow")
-    )
-    verified = (
-        docs_tag.union(phase_a)
-        .repartition(n_parts)
-        .groupby("part").map_groups(verify_b, batch_format="pyarrow")
-    )
+    phase_a = co_attach(ds, edges, attach_a, left_key=id_col,
+                        right_key="a", n_parts=n_parts,
+                        left_schema=doc_schema,
+                        right_schema=[("a", i64), ("b", i64)])
+    verified = co_attach(ds, phase_a, verify_b, left_key=id_col,
+                         right_key="b", n_parts=n_parts,
+                         left_schema=doc_schema,
+                         right_schema=[("b", i64), ("a", i64),
+                                       ("txt_a", txt)])
 
     # ---- short pool: all-pairs among the (capped) pool. The DP runs
     # over DISTINCT strings (short strings collide massively) in

@@ -623,19 +623,19 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
        (wedges) counts every triangle once, and total wedge volume is
        bounded by O(|E|^1.5) regardless of hub skew (a hub's edges
        orient INTO it, so it emits no quadratic pair set);
-    4. close wedges against the edge set with the repo's co-partitioned
-       union + ``map_groups`` topology (dedup's ``_verify_pairs``):
-       wedge rows and edge rows meet in the ``min-endpoint & mask``
-       partition, membership is one ``searchsorted`` over packed
-       ``a·2³² + b`` int64 keys per partition — no broadcast, no
-       driver state beyond the final count.
+    4. close wedges against the edge set with one
+       :func:`~.fold.co_attach`: wedge rows and edge rows meet in the
+       ``min-endpoint & mask`` partition, membership is one
+       ``searchsorted`` over packed ``a·2³² + b`` int64 keys per
+       partition — no broadcast, no driver state beyond the final
+       count.
 
     Degree/orientation attach is tiered like everything else:
     degrees broadcast via ``ray.put`` when the node table ≤
     ``broadcast_limit``, else attached by two node-keyed joins.
     Node ids must fit 2³¹ (packed-pair contract, asserted).
     """
-    from .fold import _pow2, bucket_fold
+    from .fold import _pow2, bucket_fold, co_attach
 
     mask = np.int64(_pow2(num_partitions) - 1)
 
@@ -749,36 +749,22 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
               .groupby("part").map_groups(wedge_group,
                                           batch_format="pyarrow"))
 
-    # closure: wedges ∩ edges, co-partitioned on the min endpoint
-    def tag(kind: int):
-        def fn(b: pa.Table) -> pa.Table:
-            a = np.asarray(b.column("a"), dtype=np.int64)
-            c = np.asarray(b.column("b"), dtype=np.int64)
-            return pa.table({
-                "packed": pa.array(a * (1 << 32) + c),
-                "kind": pa.array(np.full(len(a), kind, np.int64)),
-                "part": pa.array(a & mask)})
-        return fn
-
-    def close_group(g: pa.Table) -> pa.Table:
-        packed = np.asarray(g.column("packed"), dtype=np.int64)
-        kind = np.asarray(g.column("kind"), dtype=np.int64)
-        edge_keys = np.sort(packed[kind == 0])
-        w = packed[kind == 1]
-        if len(edge_keys) and len(w):
-            i = np.searchsorted(edge_keys, w)
-            i[i >= len(edge_keys)] = len(edge_keys) - 1
-            hits_n = int(np.sum(edge_keys[i] == w))
-        else:
-            hits_n = 0
+    # closure: wedges ∩ edges, co-partitioned on the min endpoint;
+    # membership is one searchsorted over packed a·2³² + b keys
+    def close_group(und_t: pa.Table, w: pa.Table) -> pa.Table:
+        def packed(t):
+            return (np.asarray(t.column("a")) * (1 << 32)
+                    + np.asarray(t.column("b")))
+        edge_keys, wk = np.sort(packed(und_t)), packed(w)
+        i = np.minimum(np.searchsorted(edge_keys, wk),
+                       max(len(edge_keys) - 1, 0))
+        hits_n = int(np.sum(edge_keys[i] == wk)) if len(edge_keys) else 0
         return pa.table({"n": pa.array([hits_n], pa.int64())})
 
-    tagged = (und.map_batches(tag(0), batch_format="pyarrow",
-                              batch_size=None)
-              .union(wedges.map_batches(tag(1), batch_format="pyarrow",
-                                        batch_size=None)))
-    out = (tagged.groupby("part")
-           .map_groups(close_group, batch_format="pyarrow").sum("n"))
+    pair = [("a", pa.int64()), ("b", pa.int64())]
+    out = co_attach(und, wedges, close_group, left_key="a", right_key="a",
+                    n_parts=num_partitions, left_schema=pair,
+                    right_schema=pair).sum("n")
     return int(out or 0)
 
 

@@ -42,24 +42,37 @@ from typing import List, Sequence, Union
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["exact_quantile", "grouped_exact_quantile"]
+
+#: largest magnitude below which float64 holds every integer exactly;
+#: above it neighbouring integers share one float
+_EXACT_INT = 1 << 53
 
 
 def _minmax_count(ds, col: str):
     def part(b: pa.Table) -> pa.Table:
-        v = np.asarray(b.column(col), dtype=np.float64)
+        c = b.column(col)
+        big = False
+        if pa.types.is_integer(c.type) and len(c):
+            mm = pc.min_max(c)
+            big = any(x is not None and abs(x) > _EXACT_INT
+                      for x in (mm["min"].as_py(), mm["max"].as_py()))
+        v = np.asarray(c, dtype=np.float64)
         v = v[~np.isnan(v)]
-        if v.size == 0:
-            return pa.table({"n": pa.array([0], type=pa.int64()),
-                             "lo": pa.array([np.inf]),
-                             "hi": pa.array([-np.inf])})
         return pa.table({"n": pa.array([v.size], type=pa.int64()),
-                         "lo": pa.array([float(v.min())]),
-                         "hi": pa.array([float(v.max())])})
+                         "lo": pa.array([float(v.min()) if v.size else np.inf]),
+                         "hi": pa.array([float(v.max()) if v.size else -np.inf]),
+                         "big": pa.array([big])})
 
     parts = ds.map_batches(part, batch_format="pyarrow",
                            batch_size=None).to_pandas()
+    if parts["big"].any():
+        raise ValueError(
+            f"integral column {col!r} holds a value with |v| > 2^53; "
+            "float64 cannot order it exactly, so the result would not "
+            "match quantile_disc")
     return (int(parts["n"].sum()), float(parts["lo"].min()),
             float(parts["hi"].max()))
 
@@ -76,6 +89,10 @@ def exact_quantile(ds, col: str, q: Union[float, Sequence[float]], *,
     ignored, like SQL). ``q`` may be a scalar or a sequence; each
     quantile narrows independently (rounds are cheap map-only passes
     and len(q) is small).
+
+    Values are compared as float64, which is exact for every integer
+    with ``|v| <= 2^53``; an integral column holding a larger magnitude
+    raises ``ValueError`` instead of returning a value SQL would not.
 
     Raises on an empty column. ``max_rounds`` is a loud-failure guard:
     hitting it means the interval stopped shrinking below

@@ -156,7 +156,10 @@ def curriculum_export(ds, out_dir: str, id_col: str, score_col: str, *,
     :func:`~.quantiles.exact_quantile`), so any SQL engine recomputes
     the identical banding: ``band_rank = (n_bands-1) - Σ(score >=
     cutoff_i)`` (0 = best band, emitted first; NULL scores land in a
-    trailing band). One groupby exchange places rows; each
+    trailing band). Scores compare as float64, exact for integers with
+    ``|score| <= 2^53``; an integral score column holding a larger
+    magnitude raises ``ValueError`` (with ``n_bands >= 2``, where
+    cutoffs exist). One groupby exchange places rows; each
     ``band-<rank>-shard-<s>.parquet`` is written atomically, sorted by
     ``(h, id)``; manifest LAST. Reading files in sorted filename order
     IS the curriculum order (:func:`read_curriculum`)."""

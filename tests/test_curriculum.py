@@ -1,5 +1,5 @@
 """curriculum_export: band-then-hash order vs a SQL window mirror,
-null trailing, torn export refused."""
+null trailing, torn export refused, int64 scores past 2^53 refused."""
 import os
 
 import duckdb
@@ -85,3 +85,17 @@ def test_single_band_equals_shuffled_order(ray_session, tmp_path):
     a = read_curriculum(out1).to_pandas()["doc_id"].tolist()
     b = read_shuffled(out2).to_pandas()["doc_id"].tolist()
     assert a == b
+
+
+def test_integer_score_above_2_53_raises(ray_session, tmp_path):
+    """Cutoffs compare as float64, so an int64 score past 2^53 could
+    band unlike SQL: refused before anything is written."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array([0, 1, 2], pa.int64()),
+        "score": pa.array([1, 1 << 53, (1 << 53) + 1], pa.int64())}))
+    out = str(tmp_path / "big")
+    with pytest.raises(ValueError, match=r"2\^53"):
+        curriculum_export(ds, out, "doc_id", "score", n_bands=2, n_shards=2)
+    assert not any(p.startswith("band-") for p in os.listdir(out))

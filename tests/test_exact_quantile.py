@@ -107,6 +107,21 @@ def test_integer_column(ray_session):
     assert got == [_duck_disc(vals, 0.5), _duck_disc(vals, 0.95)]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_magnitude_above_2_53_raises(ray_session, sign):
+    """float64 holds every integer up to 2^53 exactly: 2^53 itself is
+    answered, 2^53 + 1 (which rounds onto 2^53) raises."""
+    import ray.data as rd
+
+    edge = sign * (1 << 53)
+    ok = rd.from_arrow(pa.table({"x": pa.array([1, 2, edge], pa.int64())}))
+    assert exact_quantile(ok, "x", 1.0 if sign > 0 else 0.0) == float(edge)
+    bad = rd.from_arrow(pa.table(
+        {"x": pa.array([1, 2, edge + sign], pa.int64())}))
+    with pytest.raises(ValueError, match=r"2\^53"):
+        exact_quantile(bad, "x", 0.5)
+
+
 # -------------------------------------------------- grouped variant
 from presto_bloomfilter_ray.functions import grouped_exact_quantile
 

@@ -1,12 +1,15 @@
 """Count-sized exchange widths (``fold.exchange_width``): the sizing
 rule itself, and proof that the width is scheduling only — LSH edges,
-MinHash survivors, SimHash pairs and connected-component labels are
+MinHash survivors, SimHash pairs, connected-component labels, MinHash
+index matches, edit-distance pairs and triangle counts are
 bit-identical whether an input runs as one partition or as many."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from presto_bloomfilter_ray.functions import components, dedup, fold
+from presto_bloomfilter_ray.functions import (components, dedup,
+                                              dedup_index, editjoin, fold,
+                                              graph)
 from presto_bloomfilter_ray.functions.fold import _pow2, exchange_width
 
 
@@ -138,3 +141,69 @@ def test_components_ds_labels_width_invariant(ray_session, monkeypatch):
     ref = _sorted(components.connected_components(edges).astype("int64"), cols)
     pd.testing.assert_frame_equal(narrow, ref)
     pd.testing.assert_frame_equal(narrow, wide)
+
+
+def test_index_probe_width_invariant(ray_session, monkeypatch, tmp_path):
+    import ray.data as rd
+
+    rows = _corpus()
+    t = pd.DataFrame(rows)
+    idx_dir = str(tmp_path / "idx")
+    dedup_index.minhash_index_build(rd.from_pandas(t.iloc[::2]), idx_dir)
+    probe = rd.from_pandas(t)
+    cols = ["doc_id", "match_id", "est_jaccard"]
+    narrow, wide = _narrow_and_wide(
+        monkeypatch, dedup_index, len(rows) * 32,
+        lambda: _sorted(dedup_index.minhash_index_probe(
+            probe, idx_dir, threshold=0.5).to_pandas(), cols))
+    assert (narrow["doc_id"] != narrow["match_id"]).any()
+    pd.testing.assert_frame_equal(narrow, wide)
+
+
+def _co_widths(monkeypatch, module):
+    """Record the partition count of every ``co_attach`` ``module``
+    runs."""
+    widths = []
+    original = module.co_attach
+
+    def spy(*args, n_parts, **kwargs):
+        widths.append(_pow2(n_parts))
+        return original(*args, n_parts=n_parts, **kwargs)
+
+    monkeypatch.setattr(module, "co_attach", spy)
+    return widths
+
+
+def test_edit_pairs_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    ds = rd.from_pandas(pd.DataFrame(_corpus()))
+    widths = _co_widths(monkeypatch, editjoin)
+    cols = ["a", "b", "dist"]
+    out = {}
+    for n_parts in (1, 8):
+        widths.clear()
+        pairs, stats = editjoin.edit_distance_pairs(
+            ds, max_dist=2, q=4, n_parts=n_parts, num_buckets=8)
+        out[n_parts] = _sorted(pairs.to_pandas(), cols)
+        assert widths == [n_parts, n_parts]
+        assert stats["capped_grams"] == 0
+    assert len(out[1]) > 0
+    pd.testing.assert_frame_equal(out[1], out[8])
+
+
+def test_triangle_count_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rng = np.random.default_rng(4)
+    edges = pd.DataFrame({"src": rng.integers(0, 60, 600),
+                          "dst": rng.integers(0, 60, 600)})
+    widths = _co_widths(monkeypatch, fold)
+    counts = {}
+    for n in (1, 8):
+        widths.clear()
+        counts[n] = graph.triangle_count(rd.from_pandas(edges),
+                                         num_partitions=n)
+        assert widths == [n]
+    assert counts[1] > 0
+    assert counts[1] == counts[8]

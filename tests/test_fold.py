@@ -1,14 +1,24 @@
 """bucket_fold (functions/fold.py): bit-identity with Ray's
 groupby().aggregate for every supported op, dtypes included; exchange:
-one reducer call per non-empty bucket, each key in exactly one call."""
+one reducer call per non-empty bucket, each key in exactly one call;
+co_attach: equal to a pyarrow join, one schema into the shuffle, and
+every call sees one ``key & (width - 1)`` partition."""
+import ast
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray.data as rd
 
-from presto_bloomfilter_ray.functions.fold import (NUM_BUCKETS, bucket_fold,
+from presto_bloomfilter_ray.functions import fold
+from presto_bloomfilter_ray.functions.fold import (NUM_BUCKETS, _pow2,
+                                                   bucket_fold, co_attach,
                                                    exchange)
+
+_FUNCTIONS = os.path.dirname(fold.__file__)
 
 
 def _data(seed, n=60_000, n_keys=5_000):
@@ -133,3 +143,216 @@ def test_exchange_empty_input(ray_session):
     assert out.count() == 0
     assert out.take_all() == []
 
+
+# ------------------------------------------------------------ co_attach
+
+_EDGE = [-(1 << 62), -(1 << 62) + 1, -7, -1, 0, (1 << 62) - 1, 1 << 62]
+_L_SCHEMA = [("k", pa.int64()), ("v", pa.string())]
+_R_SCHEMA = [("rid", pa.int64()), ("rk", pa.int64())]
+
+
+def _sides(seed=0):
+    """Left: a keyed table (unique keys, negative and ±2^62 included).
+    Right: rows keyed into it, some on keys the left lacks.
+    Right keys are all even, so odd partitions hold left rows only."""
+    rng = np.random.default_rng(seed)
+    lk = np.unique(np.concatenate([rng.integers(-500, 500, 300), _EDGE]))
+    left = pa.table({"k": pa.array(lk, pa.int64()),
+                     "v": pa.array([f"v{k}" for k in lk]),
+                     "junk": pa.array(np.zeros(len(lk)))})
+    rk = np.concatenate([rng.choice(lk, 200), rng.integers(-900, 900, 100),
+                         _EDGE])
+    rk = rk[rk % 2 == 0]
+    right = pa.table({"rid": pa.array(np.arange(len(rk)), pa.int64()),
+                      "rk": pa.array(rk, pa.int64())})
+    return left, right
+
+
+def _attach_v(width):
+    """co_attach fn: the left ``v`` of each right row (null when its key
+    is absent), plus the partition ids this call saw and its sizes."""
+    def fn(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lk = np.asarray(lt.column("k"))
+        assert (np.diff(lk) > 0).all()  # left arrives sorted by key
+        assert lt.column_names == ["k", "v"]
+        assert rt.column_names == ["rid", "rk"]
+        rk = np.asarray(rt.column("rk"))
+        pos = np.minimum(np.searchsorted(lk, rk), max(len(lk) - 1, 0))
+        found = lk[pos] == rk if len(lk) else np.zeros(len(rk), bool)
+        v = (lt.column("v").take(pa.array(pos)) if len(lk)
+             else pa.nulls(len(rk), pa.string()))
+        parts = np.unique(np.concatenate([lk, rk]) & (width - 1))
+        return pa.table({
+            "rid": rt.column("rid"), "rk": rt.column("rk"),
+            "v": pc.if_else(pa.array(found), v, pa.scalar(None, pa.string())),
+            "n_parts_seen": pa.array(np.full(len(rk), len(parts))),
+            "n_left": pa.array(np.full(len(rk), lt.num_rows)),
+        }) if len(rk) else pa.table({
+            "rid": pa.array([-1], pa.int64()), "rk": pa.array([0], pa.int64()),
+            "v": pa.nulls(1, pa.string()),
+            "n_parts_seen": pa.array([len(parts)]),
+            "n_left": pa.array([lt.num_rows])})
+    return fn
+
+
+def _oracle(left, right):
+    j = right.join(left.select(["k", "v"]), keys="rk", right_keys="k",
+                   join_type="left outer")
+    return j.select(["rid", "rk", "v"]).sort_by("rid").to_pylist()
+
+
+def _collect(ds) -> pa.Table:
+    import ray
+
+    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())
+                             if t.num_rows])
+
+
+def _run(left_t, right_t, n_parts):
+    return _collect(co_attach(rd.from_arrow(left_t).repartition(3),
+                              rd.from_arrow(right_t).repartition(2),
+                              _attach_v(_pow2(n_parts)), left_key="k",
+                              right_key="rk", n_parts=n_parts,
+                              left_schema=_L_SCHEMA,
+                              right_schema=_R_SCHEMA))
+
+
+@pytest.mark.parametrize("n_parts", [1, 6, 64])
+def test_co_attach_equals_join_oracle(ray_session, n_parts):
+    left, right = _sides()
+    out = _run(left, right, n_parts)
+    assert set(pc.unique(out.column("n_parts_seen")).to_pylist()) == {1}
+    got = out.filter(pc.greater_equal(out.column("rid"), 0))
+    assert (got.select(["rid", "rk", "v"]).sort_by("rid").to_pylist()
+            == _oracle(left, right))
+    # right keys are even: with ≥ 2 partitions the odd ones hold left
+    # rows only and still get one call each, with an empty right side
+    mask = _pow2(n_parts) - 1
+    left_only = (set(np.asarray(left.column("k")) & mask)
+                 - set(np.asarray(right.column("rk")) & mask))
+    assert (len(left_only) > 0) == (n_parts > 1)
+    marks = out.filter(pc.less(out.column("rid"), 0))
+    assert marks.num_rows == len(left_only)
+    assert all(n > 0 for n in marks.column("n_left").to_pylist())
+
+
+@pytest.mark.parametrize("empty", ["left", "right"])
+def test_co_attach_empty_side(ray_session, empty):
+    left, right = _sides(1)
+    if empty == "left":
+        left = left.slice(0, 0)
+    else:
+        right = right.slice(0, 0)
+    out = _run(left, right, 8)
+    got = out.filter(pc.greater_equal(out.column("rid"), 0))
+    assert (got.select(["rid", "rk", "v"]).sort_by("rid").to_pylist()
+            == _oracle(left, right))
+    if empty == "left":
+        assert got.num_rows == right.num_rows and got.column("v").null_count == got.num_rows
+    else:
+        assert got.num_rows == 0
+
+
+def test_co_attach_sides_share_one_schema(ray_session, monkeypatch):
+    """Both tagged sides reach the shuffle with one schema: every block
+    of the union co_attach repartitions has the same columns and types,
+    even though the sides' payload columns differ."""
+    from ray.data import Dataset
+
+    seen = []
+    original = Dataset.repartition
+
+    def spy(self, *args, **kwargs):
+        mat = self.materialize()
+        seen.extend(t.schema for t in ray_session.get(mat.to_arrow_refs())
+                    if t.num_rows)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "repartition", spy)
+    left, right = _sides(2)
+    co_attach(rd.from_arrow(left), rd.from_arrow(right),
+              lambda lt, rt: pa.table({"n": [rt.num_rows]}),
+              left_key="k", right_key="rk", n_parts=4,
+              left_schema=_L_SCHEMA, right_schema=_R_SCHEMA).materialize()
+    assert len(seen) >= 2
+    assert all(s == seen[0] for s in seen)
+    assert "junk" not in seen[0].names  # only the declared columns ride
+
+
+def test_co_attach_same_name_other_type_is_kept_apart(ray_session):
+    """A right column named like a left column but of another type is
+    carried separately, and each side gets its own values back."""
+    left = pa.table({"k": pa.array([1, 2], pa.int64()),
+                     "x": pa.array(["a", "b"])})
+    right = pa.table({"rk": pa.array([2, 1], pa.int64()),
+                      "x": pa.array([20.0, 10.0])})
+
+    def fn(lt, rt):
+        pos = np.searchsorted(np.asarray(lt.column("k")),
+                              np.asarray(rt.column("rk")))
+        return pa.table({"x_left": lt.column("x").take(pa.array(pos)),
+                         "x_right": rt.column("x")})
+
+    out = co_attach(rd.from_arrow(left), rd.from_arrow(right), fn,
+                    left_key="k", right_key="rk", n_parts=1,
+                    left_schema=[("k", pa.int64()), ("x", pa.string())],
+                    right_schema=[("rk", pa.int64()), ("x", pa.float64())])
+    assert sorted(_collect(out).to_pylist(), key=lambda r: r["x_right"]) == [
+        {"x_left": "a", "x_right": 10.0}, {"x_left": "b", "x_right": 20.0}]
+
+
+def test_co_attach_key_must_be_int64():
+    with pytest.raises(ValueError, match="int64"):
+        co_attach(None, None, None, left_key="k", right_key="rk", n_parts=4,
+                  left_schema=[("k", pa.int32())], right_schema=_R_SCHEMA)
+
+
+def _chain(node):
+    """Method names along a call chain, outermost first:
+    ``x.union(y).repartition(n).groupby("part")`` →
+    [("groupby", call), ("repartition", call), ("union", call)], plus
+    the base expression."""
+    out = []
+    while isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        out.append((node.func.attr, node))
+        node = node.func.value
+    return out, node
+
+
+def test_co_partition_exchange_stays_in_fold():
+    """No functions module but fold.py hand-rolls the co-partitioned
+    exchange: a ``.union(...)`` whose result (directly or through a
+    local name) goes through ``[.repartition(...)].groupby("part")``,
+    or a private ``_split`` of a tagged union."""
+    offenders = []
+    for fname in sorted(os.listdir(_FUNCTIONS)):
+        if not fname.endswith(".py") or fname == "fold.py":
+            continue
+        with open(os.path.join(_FUNCTIONS, fname)) as f:
+            tree = ast.parse(f.read())
+        unioned = set()  # local names bound to a union's result
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                if any(m == "union" for m, _ in _chain(node.value)[0]):
+                    unioned |= {t.id for t in node.targets
+                                if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_split":
+                offenders.append(f"{fname}:{node.lineno} _split")
+            if not isinstance(node, ast.Call):
+                continue
+            chain, base = _chain(node)
+            if not chain or chain[0][0] != "groupby":
+                continue
+            args = chain[0][1].args
+            if not (args and isinstance(args[0], ast.Constant)
+                    and args[0].value == "part"):
+                continue
+            rest = [m for m, _ in chain[1:]]
+            while rest and rest[0] == "repartition":
+                rest = rest[1:]
+            if ((rest and rest[0] == "union")
+                    or (not rest and isinstance(base, ast.Name)
+                        and base.id in unioned)):
+                offenders.append(f"{fname}:{node.lineno} union → groupby")
+    assert not offenders, offenders

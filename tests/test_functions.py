@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 
 from presto_bloomfilter_ray.functions import (
@@ -189,6 +190,26 @@ def test_lsh_candidate_pairs_returns_dataset_no_driver_rows(ray_session):
     rows = edges.take_all()
     got = {(r["a"], r["b"]): r["est_jaccard"] for r in rows}
     assert got[(7, 9)] == 1.0
+
+
+@pytest.mark.parametrize("min_bands", [1, 2, 3, 5])
+def test_band_screen_keeps_pairs_seen_min_bands_times(min_bands):
+    """One row per colliding band: a pair seen m times survives exactly
+    when m >= min_bands, once, and survivors come out sorted."""
+    from presto_bloomfilter_ray.functions.dedup import _band_screen
+
+    rng = np.random.default_rng(min_bands)
+    seen = {(int(a), int(b)): int(m) for a, b, m in zip(
+        rng.integers(-5, 40, 60), rng.integers(0, 40, 60),
+        rng.integers(1, 7, 60))}
+    rows = [p for p, m in seen.items() for _ in range(m)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    a, b = _band_screen(np.array([r[0] for r in rows], np.int64),
+                        np.array([r[1] for r in rows], np.int64), min_bands)
+    got = list(zip(a.tolist(), b.tolist()))
+    assert got == sorted(p for p, m in seen.items() if m >= min_bands)
+    e = np.zeros(0, np.int64)
+    assert [len(x) for x in _band_screen(e, e, min_bands)] == [0, 0]
 
 
 def test_minhash_no_phantom_suffix_shingles():

@@ -12,7 +12,14 @@ sweep (e.g. ``python tools/sweep.py /root/testdata/sf0.01 bloom_ hll_``).
 Exits 0 iff every swept query matches. A query still running after
 ``QUERY_TIMEOUT_S`` seconds of wall clock is reported as
 ``FAIL <name> (timeout)`` and the sweep moves on to the next one.
+
+Each query's outcome is also written, as it finishes, to the timing
+ledger ``sweep-<sf>.json`` in the repo root (``<sf>`` is the basename
+of ``sf_dir``): a JSON list of ``{"name", "status", "seconds"}`` with
+status ``OK``, ``FAIL``, ``ERR`` or ``TIMEOUT``. Compare two ledgers
+to see which queries a change made slower.
 """
+import json
 import os
 import signal
 import sys
@@ -65,6 +72,16 @@ def main() -> int:
     signal.signal(signal.SIGALRM, _on_alarm)
     fails = []
     n_run = 0
+    ledger_path = os.path.join(
+        _REPO, f"sweep-{os.path.basename(os.path.normpath(sf))}.json")
+    ledger = []
+
+    def record(name, status, t0):
+        ledger.append({"name": name, "status": status,
+                       "seconds": round(time.time() - t0, 2)})
+        with open(ledger_path + ".tmp", "w") as f:
+            json.dump(ledger, f, indent=1)
+        os.replace(ledger_path + ".tmp", ledger_path)
     for name, fn in qs.items():
         if prefixes and not name.startswith(prefixes):
             continue
@@ -97,14 +114,17 @@ def main() -> int:
             status = "OK " if ok else "FAIL"
             print(f"{status} {name:40s} {time.time()-t0:6.1f}s {why}",
                   flush=True)
+            record(name, status.strip(), t0)
             if not ok:
                 fails.append(name)
         except QueryTimeout:
             print(f"FAIL {name} (timeout) {time.time()-t0:6.1f}s", flush=True)
+            record(name, "TIMEOUT", t0)
             fails.append(name)
         except Exception:
             print(f"ERR  {name:40s} {time.time()-t0:6.1f}s", flush=True)
             traceback.print_exc()
+            record(name, "ERR", t0)
             fails.append(name)
         finally:
             signal.alarm(0)
