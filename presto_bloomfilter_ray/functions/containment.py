@@ -33,7 +33,7 @@ Two tiers, one pipeline:
 
 Scale shape: one map pass emits distinct ``(gram, doc)`` rows; sizes
 come from a :func:`~.fold.bucket_fold` count; pairs are generated
-inside gram-hash-bucketed ``map_groups`` with a fully vectorized
+inside a gram-hash-bucketed :func:`~.fold.exchange` with a fully vectorized
 run-rank expansion (no per-gram Python), folded by a packed
 ``(a, b)`` key, and sizes attach via the tiered broadcast / Dataset
 join pattern. Hot shingles (boilerplate shared by > ``hot_gram_cap``
@@ -49,7 +49,7 @@ import numpy as np
 import pyarrow as pa
 
 from .decontaminate import _doc_grams
-from .fold import bucket_fold
+from .fold import bucket_fold, exchange
 
 __all__ = ["containment_pairs"]
 
@@ -146,14 +146,8 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
     cap_counter = ray.remote(_CapCounter).remote()
 
-    def bucket_of(b: pa.Table) -> pa.Table:
-        gh = np.asarray(b.column("gh")).astype(np.uint64)
-        mixed = (gh * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.append_column(
-            "_b", pa.array((mixed % np.uint64(num_buckets)).astype(np.int64)))
-
     def pairs_of(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(["gh", "doc"])
+        t = pl.from_arrow(g).sort(["gh", "doc"])
         gh = t["gh"].to_numpy()
         doc = t["doc"].to_numpy()
         if doc.size and (doc.min() < 0 or doc.max() >= int(_PACK)):
@@ -170,10 +164,9 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             pl.len().cast(pl.Int64).alias("inter"))
         return kt.to_arrow()
 
-    inter = (grams.map_batches(bucket_of, batch_format="pyarrow",
-                               batch_size=None)
-             .groupby("_b").map_groups(pairs_of, batch_format="pyarrow"))
-    inter = bucket_fold(inter, ["key"], [("inter", "sum", "inter")],
+    inter = bucket_fold(exchange(grams, ["gh"], pairs_of,
+                                 num_buckets=num_buckets),
+                        ["key"], [("inter", "sum", "inter")],
                         num_buckets=num_buckets)
 
     # tiered size attach: broadcast sorted arrays, else Dataset joins

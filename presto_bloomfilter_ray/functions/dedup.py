@@ -11,7 +11,7 @@ table. Partitioning contracts (100 TB design notes):
   rows shuffle — a few dozen bytes per doc instead of the text.
   Candidate pairing AND verification are distributed: the LSH bucket
   space is coarsely hash-partitioned (``bucket & (n_parts-1)``) and one
-  ``groupby(part).map_groups`` processes every bucket of a partition
+  :func:`~.fold.partition_map` call processes every bucket of a partition
   vectorized (boundary ``diff`` + repeat/offset pair generation — no
   per-bucket Python dispatch, no driver materialization). Small buckets
   emit ALL pairs (so near-dup pairs not involving the bucket hub are
@@ -35,7 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
-from .fold import co_attach, exchange_width
+from .fold import co_attach, exchange_width, partition_map
 from .keyset import KeySet
 
 
@@ -525,7 +525,7 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
 
     Scale notes: the LSH shuffle moves only (id, band_hash) rows; the
     pairing partitions are ``band_hash & (n_parts-1)`` so each
-    ``map_groups`` call processes ~#buckets/n_parts buckets in one
+    ``partition_map`` call processes ~#buckets/n_parts buckets in one
     vectorized pass. The width of all three exchanges is sized from the
     band-row count by :func:`~.fold.exchange_width` (one partition per
     ~250k rows, PERF §15/§57); ``n_parts`` stays the upper bound, the
@@ -551,26 +551,22 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     def explode(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
         bh = np.asarray(batch.column("band_hash").combine_chunks().flatten()).reshape(len(ids), bands)
-        flat_bh = bh.reshape(-1)
         return pa.table({
             id_col: pa.array(np.repeat(ids, bands)),
-            "band_hash": pa.array(flat_bh),
-            "part": pa.array(flat_bh & np.int64(n_parts - 1)),
+            "band_hash": pa.array(bh.reshape(-1)),
         })
 
-    def emit_pairs(g: pa.Table) -> pa.Table:
+    def emit_pairs(_part: int, g: pa.Table) -> pa.Table:
         bh = np.asarray(g.column("band_hash"))
         ids = np.asarray(g.column(id_col))
         ids_sorted, starts, sizes = _bucket_boundaries(bh, ids)
         a, b = _pairs_from_buckets(ids_sorted, starts, sizes, pair_cutoff)
         return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
-    pairs = (
+    pairs = partition_map(
         sig_ds.select_columns([id_col, "band_hash"])
-        .map_batches(explode, batch_format="pyarrow")
-        .repartition(n_parts)  # see fold.co_attach: avoid fragment blowup
-        .groupby("part").map_groups(emit_pairs, batch_format="pyarrow")
-    )
+        .map_batches(explode, batch_format="pyarrow"),
+        emit_pairs, key="band_hash", width=n_parts)
     # a pair found by several bands must verify once, not per band — and
     # the band-collision COUNT is itself a free jaccard screen that
     # drops the flood of low-jaccard template-bucket pairs BEFORE each
@@ -759,11 +755,7 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, text_col: str = "text",
     sig_rows = ds.map_batches(sigs, batch_format="pyarrow").materialize()
     n_parts = exchange_width(sig_rows.count(), n_parts)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        flat = np.asarray(batch.column("bucket"))
-        return batch.append_column("part", pa.array(flat & np.int64(n_parts - 1)))
-
-    def pair_and_verify(g: pa.Table) -> pa.Table:
+    def pair_and_verify(_part: int, g: pa.Table) -> pa.Table:
         buckets = np.asarray(g.column("bucket"))
         ids = np.asarray(g.column(id_col))
         sh = np.asarray(g.column("simhash")).astype(np.uint64)
@@ -789,11 +781,8 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, text_col: str = "text",
                          "b": pa.array(i_s[b_pos[ok]]),
                          "hamming": pa.array(d[ok])})
 
-    pairs = (
-        sig_rows.map_batches(add_part, batch_format="pyarrow")
-        .repartition(n_parts)  # see fold.co_attach: avoid fragment blowup
-        .groupby("part").map_groups(pair_and_verify, batch_format="pyarrow")
-    )
+    pairs = partition_map(sig_rows, pair_and_verify, key="bucket",
+                          width=n_parts)
     return bucket_fold(pairs, ["a", "b"],
                        [("hamming", "min", "hamming")], num_buckets=n_parts)
 

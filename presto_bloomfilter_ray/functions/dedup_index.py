@@ -55,7 +55,7 @@ import pyarrow.compute as pc
 
 from .dedup import (MinHasher, _band_screen, _min_bands_screen, _sig_array,
                     _sig_matrix, _sig_type)
-from .fold import _pow2, co_attach, exchange_width
+from .fold import _pow2, co_attach, exchange_width, partition_map
 from .keyset import KeySet, _n_shards_for
 
 _MANIFEST = "MANIFEST.json"
@@ -107,24 +107,23 @@ def repair_index(index_dir: str) -> List[str]:
 # --------------------------------------------------------------- chunk IO
 
 def _write_chunks(rows_ds, root: str, kind: str, n_shards: int, gen: int,
-                  sort_col: str, id_col: str) -> int:
-    """Hash-partition ``rows_ds`` (already carrying a ``part`` column)
-    and write one sorted chunk per non-empty part. Returns row count."""
+                  key: str, id_col: str) -> int:
+    """Hash-partition ``rows_ds`` on ``key & (n_shards - 1)`` and write
+    one chunk per non-empty part, sorted by ``(key, id_col)``. Returns
+    row count."""
     import pyarrow.parquet as pq
 
-    def write_part(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
-        g = g.sort_by([(sort_col, "ascending"), (id_col, "ascending")])
+    def write_part(p: int, g: pa.Table) -> pa.Table:
+        g = g.sort_by([(key, "ascending"), (id_col, "ascending")])
         pdir = os.path.join(root, kind, f"part-{p:05d}")
         os.makedirs(pdir, exist_ok=True)
         final = os.path.join(pdir, f"chunk-g{gen:04d}-{uuid.uuid4().hex[:8]}.parquet")
         tmp = f"{final}.tmp"
-        pq.write_table(g.drop_columns(["part"]), tmp)
+        pq.write_table(g, tmp)
         os.replace(tmp, final)
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    out = (rows_ds.repartition(n_shards)  # coalesce fragments (PERF.md §12)
-           .groupby("part").map_groups(write_part, batch_format="pyarrow"))
+    out = partition_map(rows_ds, write_part, key=key, width=n_shards)
     return int(sum(r["n"] for r in out.take_all()))
 
 
@@ -192,7 +191,6 @@ def _ingest(sig_ds, index_dir: str, m: Dict, gen: int) -> int:
     """Write one generation of band + sig chunks from a signature
     Dataset. Shared by build and append."""
     bands, id_col = m["bands"], m["id_col"]
-    bmask, smask = m["band_shards"] - 1, m["sig_shards"] - 1
 
     def band_rows(b: pa.Table) -> pa.Table:
         ids = np.asarray(b.column(id_col)).astype(np.int64)
@@ -201,16 +199,11 @@ def _ingest(sig_ds, index_dir: str, m: Dict, gen: int) -> int:
         return pa.table({
             "band_hash": pa.array(bh),
             "doc_id": pa.array(np.repeat(ids, bands)),
-            "part": pa.array(bh & np.int64(bmask)),
         })
 
     def sig_rows(b: pa.Table) -> pa.Table:
-        ids = b.column(id_col).cast(pa.int64())
-        return pa.table({
-            "doc_id": ids,
-            "sig": b.column("sig"),
-            "part": pc.bit_wise_and(ids, smask),
-        })
+        return pa.table({"doc_id": b.column(id_col).cast(pa.int64()),
+                         "sig": b.column("sig")})
 
     _write_chunks(sig_ds.select_columns([id_col, "band_hash"])
                   .map_batches(band_rows, batch_format="pyarrow"),
@@ -305,11 +298,9 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
         return pa.table({
             id_col: pa.array(np.repeat(ids, bands)),
             "band_hash": pa.array(bh),
-            "part": pa.array(bh & np.int64(bshards - 1)),
         })
 
-    def band_join(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
+    def band_join(p: int, g: pa.Table) -> pa.Table:
         bh_sorted, idx_ids = _load_part(index_dir, "bands", p, gen, num_perm)
         h = np.asarray(g.column("band_hash"))
         nid = np.asarray(g.column(id_col))
@@ -327,16 +318,15 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
             "b": pa.array(idx_ids[lo[row_of] + within]),      # index doc
         })
 
-    edges = (
+    edges = partition_map(
         new_sig.select_columns([id_col, "band_hash"])
-        .map_batches(explode, batch_format="pyarrow")
-        .repartition(min(bshards, n_parts))
-        .groupby("part").map_groups(band_join, batch_format="pyarrow")
-    )
+        .map_batches(explode, batch_format="pyarrow"),
+        band_join, key="band_hash", width=bshards,
+        coalesce=min(bshards, n_parts))
 
     # verification phase A — the co_attach of _verify_pairs.attach_a:
     # dedupe (a,b), band-collision screen, attach the NEW side's
-    # signature, key by the INDEX id's sig shard for phase B
+    # signature
     min_bands = max(1, _min_bands_screen(bands, num_perm, threshold) - 1)
 
     def attach_new(sigs: pa.Table, e: pa.Table) -> pa.Table:
@@ -347,7 +337,6 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
             "new_id": pa.array(a, pa.int64()),
             "idx_id": pa.array(b, pa.int64()),
             "sig": _sig_array(_sig_matrix(sigs, num_perm)[pos], num_perm),
-            "part": pa.array(b & np.int64(sshards - 1), pa.int64()),
         })
 
     cands = co_attach(new_sig, edges, attach_new, left_key=id_col,
@@ -357,8 +346,7 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
 
     # phase B: co-partitioned with the index SIG shards — one shard
     # read per partition, vectorized searchsorted + mean-equal estimate
-    def verify(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
+    def verify(p: int, g: pa.Table) -> pa.Table:
         skeys, S = _load_part(index_dir, "sigs", p, gen, num_perm)
         idx = np.asarray(g.column("idx_id"))
         pos = np.clip(np.searchsorted(skeys, idx), 0, max(0, len(skeys) - 1))
@@ -375,9 +363,8 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
             "est_jaccard": pa.array(est[ok]),
         })
 
-    return (cands
-            .repartition(min(sshards, n_parts))
-            .groupby("part").map_groups(verify, batch_format="pyarrow"))
+    return partition_map(cands, verify, key="idx_id", width=sshards,
+                         coalesce=min(sshards, n_parts))
 
 
 def minhash_index_dedup(new_ds, index_dir: str, *, threshold: float = 0.8,

@@ -32,7 +32,7 @@ driver):
    grams. Rank is rarest-first when the gram vocabulary fits the
    broadcast budget, else a deterministic hash order (soundness needs
    only consistency);
-3. gram-hash-bucketed ``map_groups`` expands within-gram pairs (the
+3. a gram-hash-bucketed :func:`~.fold.exchange` expands within-gram pairs (the
    containment module's run-rank expansion), hot grams above
    ``hot_gram_cap`` dropped LOUDLY via the returned stats; a
    ``bucket_fold`` dedupes pairs;
@@ -54,7 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .containment import _expand_pairs
-from .fold import bucket_fold, co_attach
+from .fold import bucket_fold, co_attach, exchange
 
 __all__ = ["edit_distance_pairs", "banded_levenshtein"]
 
@@ -347,29 +347,18 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
 
     cap_counter = ray.remote(_CapCounter).remote()
 
-    def bucket_of(b: pa.Table) -> pa.Table:
-        gh = np.asarray(b.column("gh")).astype(np.uint64)
-        mixed = (gh * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return b.append_column(
-            "_b", pa.array((mixed % np.uint64(num_buckets)).astype(np.int64)))
-
     def pairs_of(g: pa.Table) -> pa.Table:
-        t = pl.from_arrow(g.drop_columns(["_b"])).sort(["gh", "doc"])
+        t = pl.from_arrow(g).sort(["gh", "doc"])
         gh_v = t["gh"].to_numpy()
         doc = t["doc"].to_numpy()
         a, bb, n_cap, cap_rows = _expand_pairs(gh_v, doc, hot_gram_cap)
         if n_cap:
             ray.get(cap_counter.add.remote(n_cap, cap_rows))
-        key = a * _PACK + bb
-        kt = pl.DataFrame({"key": key}).group_by("key").agg(
-            pl.len().cast(pl.Int64).alias("inter"))
-        return kt.to_arrow()
+        return pl.DataFrame({"key": a * _PACK + bb}).unique().to_arrow()
 
-    inter = (prefix_grams.map_batches(bucket_of, batch_format="pyarrow",
-                                      batch_size=None)
-             .groupby("_b").map_groups(pairs_of, batch_format="pyarrow"))
-    inter = bucket_fold(inter, ["key"], [("inter", "sum", "inter")],
-                        num_buckets=num_buckets)
+    keys = bucket_fold(exchange(prefix_grams, ["gh"], pairs_of,
+                                num_buckets=num_buckets),
+                       ["key"], [], num_buckets=num_buckets)
 
     def edge_rows(b: pa.Table) -> pa.Table:
         key = np.asarray(b.column("key"), dtype=np.int64)
@@ -378,8 +367,8 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
 
     # materialize edges so the hot-gram cap counts are final before
     # stats are read (pairs_of runs during THIS execution, not later)
-    edges = inter.map_batches(edge_rows, batch_format="pyarrow",
-                              batch_size=None).materialize()
+    edges = keys.map_batches(edge_rows, batch_format="pyarrow",
+                             batch_size=None).materialize()
 
     # ---- verification: two co_attach exchanges attach each side's
     # text to its edges. The corpus-sized doc side is deliberately NOT

@@ -28,17 +28,25 @@ The fold rides on :func:`exchange`, the one bucketed exchange for
 per-key reduces: rows are tagged map-side with their key's bucket and a
 vectorized reducer runs once per non-empty bucket, never once per key.
 
-:func:`co_attach` is the other exchange shape: a keyed table side and
-a row side meet in the ``key & (n_parts - 1)`` partition, and a
-vectorized per-partition function attaches one to the other.
+:func:`partition_map` is the other exchange shape: rows meet in the
+``key & (width - 1)`` partition of an int64 key, so a partition id
+names a persisted shard or a disjoint slice of a hash space, and a
+vectorized function runs once per partition. :func:`co_attach` rides
+on it: a keyed table side and a row side meet in one partition, and a
+per-partition function attaches one to the other.
 
 Used by: exact_dedup, dedup_lines_keep_first, connected components,
 boilerplate/substring scrubs, pair-verification folds, PageRank (all via
 ``bucket_fold``); cap_per_key, grouped_sketch / salted_grouped_sketch,
-the per-key window family and snapshot_delta (via ``exchange``);
-MinHash signature verification (``dedup._verify_pairs``), the MinHash
-index probe, edit-distance verification, dataset connected components
-and triangle closure (via ``co_attach``).
+the per-key window family, snapshot_delta, and the gram pairing of
+edit-distance and containment joins (via ``exchange``); LSH and
+SimHash pairing, MinHash index writes, band join and signature verify,
+KeySet shard writes and its co-partitioned filter, triangle wedges,
+IVF bucket pairing, sequence packing and BM25 postings writes (via
+``partition_map``); MinHash signature verification
+(``dedup._verify_pairs``), the MinHash index probe, edit-distance
+verification, dataset connected components and triangle closure (via
+``co_attach``).
 The count-sized exchanges (LSH and SimHash pairing, the MinHash index
 probe, dataset connected components) take their partition count from
 :func:`exchange_width`.
@@ -53,7 +61,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 __all__ = ["append_bucket", "bucket_fold", "co_attach", "exchange",
-           "exchange_width"]
+           "exchange_width", "partition_map"]
 
 #: default bucket count of every bucketed exchange
 NUM_BUCKETS = 64
@@ -157,9 +165,53 @@ def exchange(ds, keys: Sequence[str],
                                       batch_format="pyarrow"))
 
 
-#: private columns of the co_attach layout: the key both sides share,
-#: the partition, and the side marker
-_KEY, _PART, _LEFT = "_co_key", "_co_part", "_co_left"
+#: private partition column of partition_map
+_PART = "_co_part"
+
+
+def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
+                  key: str, width: int, coalesce: Optional[int] = None):
+    """Run ``fn(part, rows)`` once per non-empty partition
+    ``part = key & (_pow2(width) - 1)`` of the int64 column ``key``.
+
+    ``rows`` is every row of the partition with all of the caller's
+    columns, ``key`` included. The partition id is a pure function of
+    the key, so it can name a persisted shard (read back by
+    ``keys & mask``) or a disjoint slice of a hash space; a key already
+    in ``[0, width)`` is its own partition. Any key type but int64
+    raises. ``ds`` may also be a list of Datasets of one schema: each
+    is tagged on its own, so the tag fuses into its last map stage,
+    and the tagged sides are unioned.
+
+    The input is coalesced to ``coalesce`` blocks (default: one per
+    partition) before grouping: the sort-based shuffle fragments every
+    input block into every output partition, so hundreds of tiny
+    upstream blocks (parquet SplitBlocks × map fan-out) make it
+    quadratic in fragments — 16.6 s for a trivial groupby over 291
+    small blocks vs 0.8 s after ``repartition(32)`` at 200k docs
+    (PERF §12). Raise ``width`` with cluster size.
+    """
+    mask = _pow2(width) - 1
+
+    def tag(b: pa.Table) -> pa.Table:
+        if b.schema.field(key).type != pa.int64():
+            raise ValueError(f"partition_map key {key!r} must be int64")
+        return b.append_column(_PART, pc.bit_wise_and(b.column(key), mask))
+
+    def run(g: pa.Table) -> pa.Table:
+        return fn(int(g.column(_PART)[0].as_py()), g.drop_columns([_PART]))
+
+    first, *rest = [d.map_batches(tag, batch_format="pyarrow")
+                    for d in (ds if isinstance(ds, list) else [ds])]
+    if rest:
+        first = first.union(*rest)
+    return (first.repartition(coalesce or mask + 1)
+            .groupby(_PART).map_groups(run, batch_format="pyarrow"))
+
+
+#: private columns of the co_attach layout: the key both sides share
+#: and the side marker
+_KEY, _LEFT = "_co_key", "_co_left"
 
 
 def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
@@ -169,17 +221,17 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
     ``fn(left_rows, right_rows)`` once per non-empty partition.
 
     Rows of ``left`` keyed by ``left_key`` and rows of ``right`` keyed
-    by ``right_key`` meet in partition ``key & (_pow2(n_parts) - 1)``;
-    ``fn`` typically attaches a value of the (keyed table) left side to
-    each right row with one ``searchsorted``. ``left_schema`` and
-    ``right_schema`` name the columns each side carries, key included,
-    and their types; every batch is selected and cast to them. ``fn``
-    gets the partition's left rows sorted by ``left_key`` and its right
-    rows, each as a table of exactly its side's schema. A partition
-    holding one side only still gets a call (the other table is empty),
-    so ``fn`` must return a typed table on empty input. Output rows
-    carry no partition column; a following ``co_attach`` keys them
-    itself.
+    by ``right_key`` meet in partition ``key & (_pow2(n_parts) - 1)``
+    of one :func:`partition_map`; ``fn`` typically attaches a value of
+    the (keyed table) left side to each right row with one
+    ``searchsorted``. ``left_schema`` and ``right_schema`` name the
+    columns each side carries, key included, and their types; every
+    batch is selected and cast to them. ``fn`` gets the partition's
+    left rows sorted by ``left_key`` and its right rows, each as a
+    table of exactly its side's schema. A partition holding one side
+    only still gets a call (the other table is empty), so ``fn`` must
+    return a typed table on empty input. Output rows carry no
+    partition column; a following ``co_attach`` keys them itself.
 
     Layout: both keys share one int64 column, a column of the same
     name and type on both sides is shared, and every other column is
@@ -187,15 +239,7 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
     with one schema (no schema-change warning, no per-block unify). A
     same-named right column of another type is carried under a private
     name.
-
-    The union is coalesced to one block per partition before grouping:
-    the sort-based shuffle fragments every input block into every output
-    partition, so hundreds of tiny upstream blocks (parquet SplitBlocks
-    × map fan-out) make it quadratic in fragments — 16.6 s for a trivial
-    groupby over 291 small blocks vs 0.8 s after ``repartition(32)`` at
-    200k docs (PERF §12). Raise ``n_parts`` with cluster size.
     """
-    width = _pow2(n_parts)
     left_schema, right_schema = pa.schema(left_schema), pa.schema(right_schema)
     for schema, key in ((left_schema, left_key), (right_schema, right_key)):
         if schema.field(key).type != pa.int64():
@@ -211,10 +255,9 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
     for schema, store in ((left_schema, l_store), (right_schema, r_store)):
         for f in schema:
             data.setdefault(store[f.name], f.type)
-    union = pa.schema(list(data.items())
-                      + [(_PART, pa.int64()), (_LEFT, pa.bool_())])
+    union = pa.schema(list(data.items()) + [(_LEFT, pa.bool_())])
 
-    def tagger(schema, store, key, is_left):
+    def tagger(schema, store, is_left):
         own = {store[n]: n for n in schema.names}
 
         def tag(b: pa.Table) -> pa.Table:
@@ -222,15 +265,14 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
             n = b.num_rows
             cols = [b.column(own[c]) if c in own else pa.nulls(n, t)
                     for c, t in data.items()]
-            cols += [pc.bit_wise_and(b.column(key), width - 1),
-                     pa.array(np.full(n, is_left))]
+            cols.append(pa.array(np.full(n, is_left)))
             return pa.Table.from_arrays(cols, schema=union)
         return tag
 
     l_cols = [l_store[c] for c in left_schema.names]
     r_cols = [r_store[c] for c in right_schema.names]
 
-    def split(g: pa.Table) -> pa.Table:
+    def split(_part: int, g: pa.Table) -> pa.Table:
         is_left = g.column(_LEFT)
         lt = (g.filter(is_left).select(l_cols)
               .rename_columns(left_schema.names))
@@ -238,12 +280,11 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
               .rename_columns(right_schema.names))
         return fn(lt.take(pc.sort_indices(lt.column(left_key))), rt)
 
-    tag_l = tagger(left_schema, l_store, left_key, True)
-    tag_r = tagger(right_schema, r_store, right_key, False)
-    return (left.map_batches(tag_l, batch_format="pyarrow")
-            .union(right.map_batches(tag_r, batch_format="pyarrow"))
-            .repartition(width)
-            .groupby(_PART).map_groups(split, batch_format="pyarrow"))
+    tag_l = tagger(left_schema, l_store, True)
+    tag_r = tagger(right_schema, r_store, False)
+    return partition_map([left.map_batches(tag_l, batch_format="pyarrow"),
+                          right.map_batches(tag_r, batch_format="pyarrow")],
+                         split, key=_KEY, width=n_parts)
 
 
 def bucket_fold(ds, keys: Sequence[str],

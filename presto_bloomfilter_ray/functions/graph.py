@@ -635,9 +635,7 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
     ``broadcast_limit``, else attached by two node-keyed joins.
     Node ids must fit 2³¹ (packed-pair contract, asserted).
     """
-    from .fold import _pow2, bucket_fold, co_attach
-
-    mask = np.int64(_pow2(num_partitions) - 1)
+    from .fold import bucket_fold, co_attach, partition_map
 
     def und_rows(b: pa.Table) -> pa.Table:
         s = np.asarray(b.column(src_col), dtype=np.int64)
@@ -715,11 +713,7 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
                                  batch_size=None)
 
     # wedge generation: co-partition by lo, emit out-neighbor pairs
-    def key_lo(b: pa.Table) -> pa.Table:
-        lo = np.asarray(b.column("lo"), dtype=np.int64)
-        return b.append_column("part", pa.array(lo & mask))
-
-    def wedge_group(g: pa.Table) -> pa.Table:
+    def wedge_group(_part: int, g: pa.Table) -> pa.Table:
         lo = np.asarray(g.column("lo"), dtype=np.int64)
         hi = np.asarray(g.column("hi"), dtype=np.int64)
         order = np.lexsort((hi, lo))
@@ -744,10 +738,8 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
             a = c = np.zeros(0, np.int64)
         return pa.table({"a": pa.array(a), "b": pa.array(c)})
 
-    wedges = (oriented.map_batches(key_lo, batch_format="pyarrow",
-                                   batch_size=None)
-              .groupby("part").map_groups(wedge_group,
-                                          batch_format="pyarrow"))
+    wedges = partition_map(oriented, wedge_group, key="lo",
+                           width=num_partitions)
 
     # closure: wedges ∩ edges, co-partitioned on the min endpoint;
     # membership is one searchsorted over packed a·2³² + b keys

@@ -29,9 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from .fold import _pow2
+from .fold import _pow2, partition_map
 
 __all__ = ["KeySet", "cleanup_shard_dirs"]
 
@@ -71,8 +70,8 @@ def _write_key_shards(kv_ds, shard_dir: str, n_shards: int,
                       has_keep: bool) -> None:
     """Hash-partition a (key[, keep]) Dataset into ``n_shards`` sorted
     parquet shards plus a completeness manifest — the build half of the
-    sharded anti-join. One repartition + groupby over the (small
-    relative to the corpus) key table; shard writes are atomic
+    sharded anti-join. One partition_map over the (small relative to
+    the corpus) key table; shard writes are atomic
     (tmp + rename) and the manifest is written LAST, so readers either
     see a complete build or fail loudly."""
     import json
@@ -80,17 +79,12 @@ def _write_key_shards(kv_ds, shard_dir: str, n_shards: int,
     import pyarrow.parquet as pq
 
     os.makedirs(shard_dir, exist_ok=True)
-    mask = n_shards - 1
+    kv_cols = ["key", "keep"] if has_keep else ["key"]
 
-    def tag(b: pa.Table) -> pa.Table:
-        key = b.column("key").cast(pa.int64())
-        out = {"key": key, "part": pc.bit_wise_and(key, mask)}
-        if has_keep:
-            out["keep"] = b.column("keep").cast(pa.int64())
-        return pa.table(out)
+    def cast(b: pa.Table) -> pa.Table:
+        return pa.table({c: b.column(c).cast(pa.int64()) for c in kv_cols})
 
-    def write_shard(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
+    def write_shard(p: int, g: pa.Table) -> pa.Table:
         keys = np.asarray(g.column("key"))
         order = np.argsort(keys)
         cols = {"key": pa.array(keys[order])}
@@ -102,10 +96,9 @@ def _write_key_shards(kv_ds, shard_dir: str, n_shards: int,
         os.replace(tmp, final)
         return pa.table({"part": pa.array([p]), "n": pa.array([len(keys)])})
 
-    summary = (kv_ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(n_shards)  # coalesce before groupby (PERF.md §12)
-        .groupby("part").map_groups(write_shard, batch_format="pyarrow")
-    ).to_pandas()  # ≤ n_shards tiny rows
+    summary = partition_map(kv_ds.map_batches(cast, batch_format="pyarrow"),
+                            write_shard, key="key", width=n_shards
+                            ).to_pandas()  # ≤ n_shards tiny rows
     manifest = {"n_shards": int(n_shards), "has_keep": bool(has_keep),
                 "parts": {str(int(p)): int(n)
                           for p, n in zip(summary.get("part", []),
@@ -336,21 +329,15 @@ class KeySet:
 
             return ds.map_batches(filt, batch_format="pyarrow")
 
-        mask = np.int64(self.n_shards - 1)
-
         def tag(b: pa.Table) -> pa.Table:
-            keys = key_of(b)
-            b = b.append_column("_aj_key", pa.array(keys))
-            return b.append_column("_aj_part", pa.array(keys & mask))
+            return b.append_column("_aj_key", pa.array(key_of(b)))
 
-        def filt_group(g: pa.Table) -> pa.Table:
+        def filt_group(_part: int, g: pa.Table) -> pa.Table:
             keys = np.asarray(g.column("_aj_key"))
             found, values = self.lookup(keys)
             out = g.filter(pa.array(keep_mask(g, keys, found, values)))
-            return out.drop_columns(["_aj_key", "_aj_part"])
+            return out.drop_columns(["_aj_key"])
 
-        return (
-            ds.map_batches(tag, batch_format="pyarrow")
-            .repartition(min(self.n_shards, 512))  # coalesce (PERF.md §12)
-            .groupby("_aj_part").map_groups(filt_group, batch_format="pyarrow")
-        )
+        return partition_map(ds.map_batches(tag, batch_format="pyarrow"),
+                             filt_group, key="_aj_key", width=self.n_shards,
+                             coalesce=min(self.n_shards, 512))

@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .fold import _pow2
+from .fold import _pow2, partition_map
 from .text import TOKEN_RE
 
 __all__ = ["pack_sequences", "pack_stats"]
@@ -82,8 +82,7 @@ def pack_sequences(ds, *, budget: int, text_col: str = "text",
         return pa.table({"doc_id": pa.array(doc), "chunk_idx": pa.array(chunk),
                          "n_tok": pa.array(tok), "part": pa.array(part)})
 
-    def pack_part(g: pa.Table) -> pa.Table:
-        p = int(g.column("part")[0].as_py())
+    def pack_part(p: int, g: pa.Table) -> pa.Table:
         doc = np.asarray(g.column("doc_id"))
         chunk = np.asarray(g.column("chunk_idx"))
         tok = np.asarray(g.column("n_tok"))
@@ -104,9 +103,8 @@ def pack_sequences(ds, *, budget: int, text_col: str = "text",
         return pa.table({"pack_id": pa.array(pack_id), "doc_id": pa.array(doc),
                          "chunk_idx": pa.array(chunk), "n_tok": pa.array(tok)})
 
-    return (ds.map_batches(pieces, batch_format="pyarrow")
-            .repartition(n_parts)
-            .groupby("part").map_groups(pack_part, batch_format="pyarrow"))
+    return partition_map(ds.map_batches(pieces, batch_format="pyarrow"),
+                         pack_part, key="part", width=n_parts)
 
 
 def pack_stats(assignments, *, budget: int):

@@ -51,28 +51,37 @@ __all__ = ["exact_quantile", "grouped_exact_quantile"]
 _EXACT_INT = 1 << 53
 
 
+def _too_big(c) -> bool:
+    """Whether integral column ``c`` holds a value with |v| > 2^53."""
+    if not (pa.types.is_integer(c.type) and len(c)):
+        return False
+    mm = pc.min_max(c)
+    return any(x is not None and abs(x) > _EXACT_INT
+               for x in (mm["min"].as_py(), mm["max"].as_py()))
+
+
+def _check_exact(big, col: str) -> None:
+    """Raise if any of the :func:`_too_big` flags ``big`` is set."""
+    if big.any():
+        raise ValueError(
+            f"integral column {col!r} holds a value with |v| > 2^53; "
+            "float64 cannot order it exactly, so the result would not "
+            "match quantile_disc")
+
+
 def _minmax_count(ds, col: str):
     def part(b: pa.Table) -> pa.Table:
         c = b.column(col)
-        big = False
-        if pa.types.is_integer(c.type) and len(c):
-            mm = pc.min_max(c)
-            big = any(x is not None and abs(x) > _EXACT_INT
-                      for x in (mm["min"].as_py(), mm["max"].as_py()))
         v = np.asarray(c, dtype=np.float64)
         v = v[~np.isnan(v)]
         return pa.table({"n": pa.array([v.size], type=pa.int64()),
                          "lo": pa.array([float(v.min()) if v.size else np.inf]),
                          "hi": pa.array([float(v.max()) if v.size else -np.inf]),
-                         "big": pa.array([big])})
+                         "big": pa.array([_too_big(c)])})
 
     parts = ds.map_batches(part, batch_format="pyarrow",
                            batch_size=None).to_pandas()
-    if parts["big"].any():
-        raise ValueError(
-            f"integral column {col!r} holds a value with |v| > 2^53; "
-            "float64 cannot order it exactly, so the result would not "
-            "match quantile_disc")
+    _check_exact(parts["big"], col)
     return (int(parts["n"].sum()), float(parts["lo"].min()),
             float(parts["hi"].max()))
 
@@ -208,6 +217,10 @@ def grouped_exact_quantile(ds, col: str, q, key_col: str, *,
     ``key_col`` and one ``q_<quantile>`` column per requested
     quantile; group ranks use the same ``ceil(q·n)`` rule as
     :func:`exact_quantile`.
+
+    Values are compared as float64, as in :func:`exact_quantile`:
+    exact for every integer with ``|v| <= 2^53``, and an integral
+    column holding a larger magnitude raises ``ValueError``.
     """
     import math
 
@@ -227,12 +240,16 @@ def grouped_exact_quantile(ds, col: str, q, key_col: str, *,
                           if isinstance(b.column(key_col), pa.ChunkedArray)
                           else pc.is_null(b.column(key_col)))
         return pa.table({"k": b.column(key_col).filter(pa.array(ok)),
-                         "v": pa.array(v[ok])})
+                         "v": pa.array(v[ok]),
+                         "big": pa.array(np.full(int(ok.sum()),
+                                                 _too_big(b.column(col))))})
 
     kv = ds.map_batches(clean, batch_format="pyarrow",
                         batch_size=None).materialize()
     stats = bucket_fold(kv, ["k"], [("v", "min", "lo"), ("v", "max", "hi"),
-                                    (None, "count", "n")]).to_pandas()
+                                    (None, "count", "n"),
+                                    ("big", "max", "big")]).to_pandas()
+    _check_exact(stats["big"], col)
     K = len(stats)
     if K == 0:
         raise ValueError(f"grouped_exact_quantile: no non-null rows")

@@ -49,6 +49,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import partition_map
 from .search import _terms_of
 from .text import TOKEN_RE
 
@@ -117,8 +118,7 @@ def _ingest(ds, root: str, n_shards: int, gen: int, text_col: str,
                             n_shards)
         return agg.append_column("shard", pa.array(shard))
 
-    def write_shard(g: pa.Table) -> pa.Table:
-        s = int(g.column("shard")[0].as_py())
+    def write_shard(s: int, g: pa.Table) -> pa.Table:
         g = g.sort_by([("term", "ascending"), ("doc", "ascending")])
         pdir = os.path.join(root, "postings", f"shard={s}")
         os.makedirs(pdir, exist_ok=True)
@@ -128,10 +128,8 @@ def _ingest(ds, root: str, n_shards: int, gen: int, text_col: str,
         os.replace(f"{final}.tmp", final)
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    (ds.map_batches(postings, batch_format="pyarrow")
-     .repartition(n_shards)  # coalesce fragments before the sort shuffle
-     .groupby("shard").map_groups(write_shard, batch_format="pyarrow")
-     .materialize())
+    partition_map(ds.map_batches(postings, batch_format="pyarrow"),
+                  write_shard, key="shard", width=n_shards).materialize()
 
     def doc_stats_chunk(batch: pa.Table) -> pa.Table:
         txt = batch.column(text_col)

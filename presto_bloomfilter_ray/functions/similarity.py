@@ -269,7 +269,7 @@ def cosine_neardup_pairs_ivf(ds, threshold: float = 0.99,
     Each vector is assigned to its ``assign_m`` nearest centroids
     (multi-probe: a near-dup pair straddling a Voronoi boundary is
     still co-bucketed when the two rankings overlap); pairing runs
-    per bucket inside ``groupby(bucket).map_groups`` with chunked
+    per bucket inside a :func:`~.fold.partition_map` with chunked
     float64 matmuls, so flops are O(Σ g_c²) over bucket sizes instead
     of N². Pairs found through two shared centroids are folded by a
     ``groupby(a, b)``. Precision is exact (true cosine, same
@@ -278,6 +278,8 @@ def cosine_neardup_pairs_ivf(ds, threshold: float = 0.99,
     :func:`cosine_neardup_pairs` on a sample when tuning.
     """
     import pandas as pd
+
+    from .fold import bucket_fold, partition_map
 
     c = _sample_centroids(ds, vec_col, ncentroids, sample_fraction, seed=seed)
     cref = ray.put(c)
@@ -288,16 +290,16 @@ def cosine_neardup_pairs_ivf(ds, threshold: float = 0.99,
         mm = _l2norm(_batch_matrix(batch, vec_col))
         if mm.shape[0] == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int32()),
+                             "bucket": pa.array([], pa.int64()),
                              vec_col: pa.array([], batch.column(vec_col).type)})
         sims = mm @ cc.T
-        top = np.argpartition(-sims, m_eff - 1, axis=1)[:, :m_eff].astype(np.int32)
+        top = np.argpartition(-sims, m_eff - 1, axis=1)[:, :m_eff].astype(np.int64)
         n = mm.shape[0]
         idx = np.repeat(np.arange(n, dtype=np.int64), m_eff)
         out = batch.select([id_col, vec_col]).take(pa.array(idx))
         return out.append_column("bucket", pa.array(top.reshape(-1)))
 
-    def pair_bucket(g: pa.Table) -> pa.Table:
+    def pair_bucket(_part: int, g: pa.Table) -> pa.Table:
         ids = np.asarray(g.column(id_col)).astype(np.int64)
         order = np.argsort(ids)
         ids = ids[order]
@@ -316,16 +318,10 @@ def cosine_neardup_pairs_ivf(ds, threshold: float = 0.99,
         s = np.concatenate(outs_s) if outs_s else np.zeros(0, np.float64)
         return pa.table({"a": pa.array(a), "b": pa.array(b), "sim": pa.array(s)})
 
-    pairs = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        # coalesce: the sort shuffle fragments every input block into
-        # every output partition — many tiny upstream blocks make it
-        # quadratic (measured in the dedup path, PERF.md §12)
-        .repartition(max(8, ncentroids))
-        .groupby("bucket").map_groups(pair_bucket, batch_format="pyarrow")
-    )
+    pairs = partition_map(ds.map_batches(assign, batch_format="pyarrow"),
+                          pair_bucket, key="bucket", width=ncentroids,
+                          coalesce=max(8, ncentroids))
     # a pair co-bucketed under two shared centroids appears twice (same sim)
-    from .fold import bucket_fold
 
     return bucket_fold(pairs, ["a", "b"], [("sim", "max", "sim")])
 

@@ -210,3 +210,25 @@ def test_grouped_negative_spanning_forced_rounds(ray_session):
     exp = _duck_group(df_t, qs)
     for i, q in enumerate(qs):
         assert (got[f"q_{q}"].to_numpy() == exp[f"q{i}"].to_numpy()).all(), q
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grouped_integer_magnitude_above_2_53_raises(ray_session, sign):
+    """The grouped path keeps the scalar path's bound: 2^53 is answered
+    exactly, 2^53 + 1 raises, and a float column holding the same
+    magnitudes is not integral and is answered."""
+    import ray.data as rd
+
+    edge = sign * (1 << 53)
+    q = 1.0 if sign > 0 else 0.0
+
+    def run(x, qq, typ=pa.int64()):
+        t = pa.table({"g": pa.array([0] * len(x), pa.int64()),
+                      "x": pa.array(x, typ)})
+        return grouped_exact_quantile(rd.from_arrow(t), "x", qq, "g")
+
+    assert run([1, 2, edge], q)[f"q_{q}"].tolist() == [float(edge)]
+    with pytest.raises(ValueError, match=r"2\^53"):
+        run([1, 2, edge + sign], 0.5)
+    far = float(edge + 2 * sign)  # a float64 neighbour of 2^53
+    assert run([1.0, 2.0, far], q, pa.float64())[f"q_{q}"].tolist() == [far]

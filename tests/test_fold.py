@@ -1,8 +1,9 @@
 """bucket_fold (functions/fold.py): bit-identity with Ray's
 groupby().aggregate for every supported op, dtypes included; exchange:
 one reducer call per non-empty bucket, each key in exactly one call;
-co_attach: equal to a pyarrow join, one schema into the shuffle, and
-every call sees one ``key & (width - 1)`` partition."""
+partition_map: one call per non-empty ``key & (width - 1)`` partition
+with the caller's columns; co_attach: equal to a pyarrow join, one
+schema into the shuffle, and every call sees one partition."""
 import ast
 import os
 
@@ -16,7 +17,7 @@ import ray.data as rd
 from presto_bloomfilter_ray.functions import fold
 from presto_bloomfilter_ray.functions.fold import (NUM_BUCKETS, _pow2,
                                                    bucket_fold, co_attach,
-                                                   exchange)
+                                                   exchange, partition_map)
 
 _FUNCTIONS = os.path.dirname(fold.__file__)
 
@@ -144,9 +145,84 @@ def test_exchange_empty_input(ray_session):
     assert out.take_all() == []
 
 
-# ------------------------------------------------------------ co_attach
+# ------------------------------------------------------------ partition_map
 
 _EDGE = [-(1 << 62), -(1 << 62) + 1, -7, -1, 0, (1 << 62) - 1, 1 << 62]
+
+
+def _keyed_rows(seed=0):
+    """Rows keyed by int64 ``k`` (negative and ±2^62 included, repeats
+    too), with two payload columns around the key."""
+    rng = np.random.default_rng(seed)
+    k = np.concatenate([rng.integers(-1000, 1000, 400), _EDGE, _EDGE])
+    return pa.table({"v": pa.array([f"v{x}" for x in k]),
+                     "k": pa.array(k, pa.int64()),
+                     "w": pa.array(rng.random(len(k)))})
+
+
+def _stamper():
+    """partition_map fn: the rows it got, stamped with its ``part`` and
+    an id unique to this call (built in a closure so workers get it by
+    value)."""
+    def stamp(part: int, rows: pa.Table) -> pa.Table:
+        import uuid
+
+        assert rows.column_names == ["v", "k", "w"]  # only _co_part dropped
+        n = rows.num_rows
+        return rows.append_column("part", pa.array(np.full(n, part))) \
+            .append_column("call", pa.array([uuid.uuid4().hex] * n))
+
+    return stamp
+
+
+@pytest.mark.parametrize("width", [1, 6, 64])
+def test_partition_map_one_call_per_partition(ray_session, width):
+    t = _keyed_rows()
+    out = _collect(partition_map(rd.from_arrow(t).repartition(5), _stamper(),
+                                 key="k", width=width)).to_pandas()
+    assert len(out) == t.num_rows
+    assert sorted(out["k"]) == sorted(t.column("k").to_pylist())
+    mask = _pow2(width) - 1
+    assert (out["part"] == out["k"] & mask).all()
+    calls = out.groupby("part")["call"].nunique()
+    assert (calls == 1).all()  # one call per partition
+    assert sorted(calls.index) == sorted(set(np.asarray(t.column("k")) & mask))
+
+
+def test_partition_map_coalesce_keeps_groups(ray_session):
+    t = _keyed_rows(1)
+
+    def groups(**kw):
+        out = _collect(partition_map(rd.from_arrow(t).repartition(7), _stamper(),
+                                     key="k", width=64, **kw)).to_pandas()
+        return sorted(zip(out["part"], out["k"], out["v"]))
+
+    assert groups(coalesce=4) == groups()
+
+
+def test_partition_map_keeps_caller_columns(ray_session):
+    t = _keyed_rows(2)
+    out = partition_map(rd.from_arrow(t), lambda part, rows: rows, key="k",
+                        width=8).materialize()
+    assert out.schema().names == t.column_names  # no stray _co_part
+    assert sorted(out.to_pandas()["k"]) == sorted(t.column("k").to_pylist())
+
+
+def test_partition_map_key_must_be_int64(ray_session):
+    t = pa.table({"k": pa.array([1, 2, 3], pa.int32())})
+    with pytest.raises(Exception, match="must be int64"):
+        partition_map(rd.from_arrow(t), lambda part, rows: rows, key="k",
+                      width=4).materialize()
+
+
+def test_partition_map_empty_input(ray_session):
+    t = _keyed_rows().slice(0, 0)
+    out = partition_map(rd.from_arrow(t), _stamper(), key="k", width=8)
+    assert out.count() == 0
+
+
+# ------------------------------------------------------------ co_attach
+
 _L_SCHEMA = [("k", pa.int64()), ("v", pa.string())]
 _R_SCHEMA = [("rid", pa.int64()), ("rk", pa.int64())]
 
@@ -319,23 +395,41 @@ def _chain(node):
     return out, node
 
 
-def test_co_partition_exchange_stays_in_fold():
-    """No functions module but fold.py hand-rolls the co-partitioned
-    exchange: a ``.union(...)`` whose result (directly or through a
-    local name) goes through ``[.repartition(...)].groupby("part")``,
-    or a private ``_split`` of a tagged union."""
+#: the one functions module that keeps its own partitioned exchange:
+#: a two-sided hashed-key union reduced by a pandas ``merge_asof``
+_OWN_EXCHANGE = "asof.py"
+#: partition columns of hand-rolled exchanges that partition_map owns
+_PART_COLS = {"part", "_b", "_aj_part"}
+
+
+def _exchange_offenders(functions_dir):
+    """Hand-rolled partitioned exchanges in the functions modules other
+    than fold.py:
+
+    * a ``.union(...)`` whose result (directly or through a local name)
+      goes through ``[.repartition(...)].groupby("part")``, or a private
+      ``_split`` of a tagged union (co_attach's shape);
+    * a ``.repartition(...)`` chained into ``.groupby(...)``, directly
+      or through a local name, or a ``groupby`` on ``"part"``, ``"_b"``
+      or ``"_aj_part"`` (partition_map's and exchange's shape), in any
+      module but :data:`_OWN_EXCHANGE`."""
     offenders = []
-    for fname in sorted(os.listdir(_FUNCTIONS)):
+    for fname in sorted(os.listdir(functions_dir)):
         if not fname.endswith(".py") or fname == "fold.py":
             continue
-        with open(os.path.join(_FUNCTIONS, fname)) as f:
+        with open(os.path.join(functions_dir, fname)) as f:
             tree = ast.parse(f.read())
-        unioned = set()  # local names bound to a union's result
+        # local names bound to a union's / a repartition's result
+        unioned, repartitioned = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
-                if any(m == "union" for m, _ in _chain(node.value)[0]):
-                    unioned |= {t.id for t in node.targets
-                                if isinstance(t, ast.Name)}
+                methods = [m for m, _ in _chain(node.value)[0]]
+                names = {t.id for t in node.targets
+                         if isinstance(t, ast.Name)}
+                if "union" in methods:
+                    unioned |= names
+                if methods[:1] == ["repartition"]:
+                    repartitioned |= names
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "_split":
                 offenders.append(f"{fname}:{node.lineno} _split")
@@ -345,14 +439,28 @@ def test_co_partition_exchange_stays_in_fold():
             if not chain or chain[0][0] != "groupby":
                 continue
             args = chain[0][1].args
-            if not (args and isinstance(args[0], ast.Constant)
-                    and args[0].value == "part"):
-                continue
+            col = (args[0].value if args and isinstance(args[0], ast.Constant)
+                   else None)
             rest = [m for m, _ in chain[1:]]
-            while rest and rest[0] == "repartition":
-                rest = rest[1:]
-            if ((rest and rest[0] == "union")
-                    or (not rest and isinstance(base, ast.Name)
-                        and base.id in unioned)):
+            name = base.id if not rest and isinstance(base, ast.Name) else None
+            after = rest
+            while after and after[0] == "repartition":
+                after = after[1:]
+            if col == "part" and ((after and after[0] == "union")
+                                  or (not after and name in unioned)):
                 offenders.append(f"{fname}:{node.lineno} union → groupby")
+            if fname == _OWN_EXCHANGE:
+                continue
+            if rest[:1] == ["repartition"] or name in repartitioned:
+                offenders.append(f"{fname}:{node.lineno} repartition → groupby")
+            if col in _PART_COLS:
+                offenders.append(f"{fname}:{node.lineno} groupby({col!r})")
+    return offenders
+
+
+def test_co_partition_exchange_stays_in_fold():
+    """No functions module but fold.py (and asof.py's merge_asof
+    exchange) hand-rolls a partitioned exchange: co_attach,
+    partition_map and exchange own them."""
+    offenders = _exchange_offenders(_FUNCTIONS)
     assert not offenders, offenders
