@@ -592,9 +592,11 @@ def _left_join_order_counts(sf_dir: str):
     customers, folded to a histogram of customers per order count."""
     from ray.data.aggregate import Count
 
+    from presto_bloomfilter_ray.engine import hash_join
+
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderkey"])
-    joined = cust.join(orders, "left_outer", 16,
+    joined = hash_join(cust, orders, "left_outer", 16,
                        on=("c_custkey",), right_on=("o_custkey",))
 
     def per_cust(b: pa.Table) -> pa.Table:
@@ -1108,10 +1110,12 @@ def _join_orders_customer_nation(sf_dir: str):
     the key) + grouped aggregate — revenue per customer nation."""
     from ray.data.aggregate import Count, Sum
 
+    from presto_bloomfilter_ray.engine import hash_join
+
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    joined = orders.join(cust, "inner", 16, on=("o_custkey",),
-                         right_on=("c_custkey",)).map_batches(
+    joined = hash_join(orders, cust, "inner", 16, on=("o_custkey",),
+                       right_on=("c_custkey",)).map_batches(
         _add_cents("o_totalprice"), batch_format="pyarrow")
     agg = joined.groupby("c_nationkey").aggregate(
         Count(alias_name="n_orders"), Sum("_cents", alias_name="_tp")
@@ -1200,6 +1204,8 @@ def _q5_revenue_by_nation(sf_dir: str):
     grouped aggregate."""
     from ray.data.aggregate import Sum
 
+    from presto_bloomfilter_ray.engine import hash_join
+
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -1214,11 +1220,12 @@ def _q5_revenue_by_nation(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    j = (
-        li.join(orders, "inner", 16, on=("l_orderkey",), right_on=("o_orderkey",))
-        .join(cust, "inner", 16, on=("o_custkey",), right_on=("c_custkey",))
-        .join(nation, "inner", 8, on=("c_nationkey",), right_on=("n_nationkey",))
-    )
+    j = hash_join(li, orders, "inner", 16, on=("l_orderkey",),
+                  right_on=("o_orderkey",))
+    j = hash_join(j, cust, "inner", 16, on=("o_custkey",),
+                  right_on=("c_custkey",))
+    j = hash_join(j, nation, "inner", 8, on=("c_nationkey",),
+                  right_on=("n_nationkey",))
     agg = j.groupby("n_name").aggregate(Sum("revenue", alias_name="_r"))
     df = agg.to_pandas()
     df["revenue"] = ((df["_r"] + 50) // 100) / 100.0  # half-up ties, see q1

@@ -6,8 +6,9 @@ table. Partitioning contracts (100 TB design notes):
 * **exact**: one all-to-all shuffle keyed by a 64-bit content hash —
   per-key groups are tiny (true duplicates), so skew is bounded by the
   actual duplicate multiplicity.
-* **minhash/simhash**: signatures are computed map-side (vectorized,
-  flat-hash + ``reduceat``); only (band, band_hash, doc_id) candidate
+* **minhash/simhash**: signatures are computed map-side (vectorized:
+  one-permutation MinHash over the flat shingle hashes, a segmented
+  ``reduceat`` vote for SimHash); only (band, band_hash, doc_id) candidate
   rows shuffle — a few dozen bytes per doc instead of the text.
   Candidate pairing AND verification are distributed: the LSH bucket
   space is coarsely hash-partitioned (``bucket & (n_parts-1)``) and one
@@ -200,9 +201,18 @@ class MinHasher:
     normalized and viewed as ONE flat byte array; char-``shingle_k``-gram
     hashes come from a rolling polynomial over the padded bytes
     (``k-1`` sentinel bytes between docs so windows never cross a doc
-    boundary) finished with splitmix64; ``num_perm`` permutations are
-    odd-multiplier affine maps over Z/2^64 (bijections), min-reduced per
-    doc with ``np.minimum.reduceat``.
+    boundary) finished with splitmix64. Signatures use one-permutation
+    hashing (Li, Owen & Zhang, NeurIPS 2012): each shingle hash goes to
+    one of ``num_perm`` bins by a multiply-high of its top 32 bits, and
+    one ``np.minimum.at`` pass keeps each (doc, bin) minimum. Bins a doc
+    leaves empty are filled by optimal densification (Shrivastava, ICML
+    2017): empty bin ``i`` copies the first non-empty bin among
+    ``H(i, 1), H(i, 2), …`` — ``H`` depends on the bin and the attempt
+    only, so a signature is a function of the doc's shingle set alone.
+    A doc with f distinct shingles holds at most f distinct bin values,
+    so below a few dozen shingles the estimate is much noisier than
+    ``num_perm`` independent permutations would give (two 4-shingle
+    docs at exact Jaccard 0.6 can estimate 0.85).
 
     Emits ONE row per doc: (id, sig fixed-list, band_hash fixed-list) —
     band rows are exploded WITHOUT the signature downstream, so the
@@ -210,7 +220,8 @@ class MinHasher:
     """
 
     _POLY = np.uint64(1099511628211)
-    _SENTINEL = np.uint64(0x1F)
+    _SENTINEL = np.uint8(0x1F)
+    _PROBES = 32  # densification attempts tried per vectorized round
 
     def __init__(self, num_perm: int = 128, bands: int = 32, shingle_k: int = 5,
                  text_col: str = "text", id_col: str = "doc_id"):
@@ -222,9 +233,10 @@ class MinHasher:
         self.k = shingle_k
         self.text_col = text_col
         self.id_col = id_col
-        rng = np.random.default_rng(1337)  # fixed: identical in every actor
-        self.a = (rng.integers(0, 1 << 63, size=num_perm, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-        self.b = rng.integers(0, 1 << 63, size=num_perm, dtype=np.uint64)
+        # the signature of a doc with no shingle (fixed: identical in
+        # every actor, so empty docs match each other)
+        self._empty = self._splitmix(
+            np.arange(num_perm, dtype=np.uint64) ^ np.uint64(0xE3E3))
 
     @staticmethod
     def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -233,12 +245,28 @@ class MinHasher:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
 
-    def _shingle_stream(self, texts):
-        """→ (flat shingle hashes, per-doc reduce starts, empty-doc mask).
+    def _bin_of(self, h: np.ndarray) -> np.ndarray:
+        """Multiply-high of the top 32 bits: uniform on ``[0, num_perm)``
+        for any ``num_perm``."""
+        return ((h >> np.uint64(32)) * np.uint64(self.num_perm)
+                >> np.uint64(32)).astype(np.intp)
 
-        Windows whose span would cross into the next doc's bytes are
-        masked to uint64-max so they never win a min — doc signatures
-        are therefore independent of batch composition and order.
+    def _probe(self, t0: int) -> np.ndarray:
+        """``(num_perm, _PROBES)`` densification targets ``H(i, t)`` for
+        attempts ``t0 .. t0+_PROBES-1`` of every bin ``i``."""
+        i = np.arange(self.num_perm, dtype=np.uint64)[:, None]
+        t = np.arange(t0, t0 + self._PROBES, dtype=np.uint64)[None, :]
+        return self._bin_of(self._splitmix((i << np.uint64(32)) | t))
+
+    def _shingle_stream(self, texts):
+        """→ (shingle hashes, per-doc start offsets into them).
+
+        Only real shingles are returned: windows lying FULLY inside
+        their doc's byte span. Windows crossing into the next doc's
+        bytes and the trailing windows over the final doc's sentinel
+        pad never count, so a doc's shingles — hence its signature — do
+        not depend on batch composition or order, and short docs'
+        jaccard estimates carry no phantom shingles.
         """
         if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
             texts = pa.array(list(texts), type=pa.large_string())
@@ -256,60 +284,50 @@ class MinHasher:
         pad = k - 1
         nbytes = int(offs[-1] - offs[0])
         total = nbytes + pad * n
-        padded = np.full(total, self._SENTINEL, dtype=np.uint64)
-        row_of = np.repeat(np.arange(n, dtype=np.int64), lens)
-        src = np.arange(nbytes, dtype=np.int64)
-        padded[src + pad * row_of] = data[offs[0] + src]
+        padded = np.full(total, self._SENTINEL, dtype=np.uint8)
+        shift = np.repeat(pad * np.arange(n, dtype=np.int64), lens)
+        padded[np.arange(nbytes, dtype=np.int64) + shift] = data[offs[0]:offs[-1]]
         # rolling degree-(k-1) polynomial over the padded stream
         m = max(0, total - k + 1)
         acc = np.zeros(m, dtype=np.uint64)
         for j in range(k):
             acc = acc * self._POLY + padded[j : m + j]
-        sh = self._splitmix(acc)
         padded_starts = (offs[:-1] - offs[0]) + pad * np.arange(n, dtype=np.int64)
-        # validity mask: a window is a real shingle iff it lies FULLY
-        # inside its doc's byte span. Everything else — windows crossing
-        # into the next doc's bytes AND the trailing windows that
-        # overlap the final doc's sentinel pad — must never win a min
-        # under ANY permutation (the mask is re-applied per perm in
-        # ``signatures`` because an affine map scrambles sentinels).
-        # The old boundary-walk masked only BETWEEN-doc windows, so the
-        # last doc of every batch carried k-1 garbage shingles: signatures
-        # depended on batch position, and short docs' jaccard estimates
-        # were biased low (caught by ngram_jaccard_check at sf0.1).
-        if m > 0:
-            pos = np.arange(m, dtype=np.int64)
-            doc_of = np.searchsorted(padded_starts, pos, side="right") - 1
-            rel = pos - padded_starts[doc_of]
-            valid = rel <= (lens[doc_of] - k)
-            # docs shorter than one shingle keep exactly their first
-            # window (doc bytes + deterministic sentinel tail) as a
-            # content fingerprint — batch-position-independent, and
-            # distinct contents still get distinct shingles
-            short = (lens[doc_of] > 0) & (lens[doc_of] < k)
-            valid |= short & (rel == 0)
-            contam = ~valid
-        else:
-            contam = np.zeros(0, dtype=bool)
-        starts = np.minimum(padded_starts, max(0, m - 1))
-        return sh, starts, (lens == 0), contam
+        # a doc of len >= k has len-k+1 in-doc windows; a shorter
+        # non-empty doc keeps exactly its first window (doc bytes +
+        # deterministic sentinel tail) as a content fingerprint, so
+        # distinct short contents still get distinct shingles
+        counts = np.where(lens >= k, lens - k + 1, (lens > 0).astype(np.int64))
+        starts = np.cumsum(counts) - counts
+        pos = (np.repeat(padded_starts - starts, counts)
+               + np.arange(int(counts.sum()), dtype=np.int64))
+        return self._splitmix(acc[pos]), starts
 
     def signatures(self, texts) -> np.ndarray:
-        sh, starts, empty_mask, contam = self._shingle_stream(texts)
-        n = len(starts)
-        sig = np.empty((n, self.num_perm), dtype=np.uint64)
-        if sh.size == 0:
-            sig[:] = self._splitmix(self.b)[None, :]
-            return sig
-        UMAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-        any_contam = bool(contam.any())
-        for p in range(self.num_perm):
-            v = self.a[p] * sh + self.b[p]
-            if any_contam:
-                v[contam] = UMAX
-            sig[:, p] = np.minimum.reduceat(v, starts)
-        if empty_mask.any():
-            sig[empty_mask] = self._splitmix(self.b)[None, :]
+        h, starts = self._shingle_stream(texts)
+        n, P = len(starts), self.num_perm
+        counts = np.diff(np.append(starts, len(h)))
+        cell = np.repeat(np.arange(n, dtype=np.intp) * P, counts) + self._bin_of(h)
+        sig = np.full(n * P, np.iinfo(np.uint64).max, dtype=np.uint64)
+        np.minimum.at(sig, cell, h)
+        filled = np.zeros(n * P, dtype=bool)
+        filled[cell] = True
+        sig, filled = sig.reshape(n, P), filled.reshape(n, P)
+        # optimal densification: every empty bin of a non-empty doc
+        # copies the first ORIGINALLY filled bin on its probe sequence,
+        # _PROBES attempts per vectorized round
+        doc, i = np.nonzero(~filled & (counts > 0)[:, None])
+        t0 = 1
+        while len(doc):
+            J = self._probe(t0)[i]
+            hit = filled[doc[:, None], J]
+            first = hit.argmax(axis=1)
+            rows = np.arange(len(doc))
+            ok = hit[rows, first]
+            sig[doc[ok], i[ok]] = sig[doc[ok], J[rows, first][ok]]
+            doc, i = doc[~ok], i[~ok]
+            t0 += self._PROBES
+        sig[counts == 0] = self._empty
         return sig
 
     def band_hashes(self, sig: np.ndarray) -> np.ndarray:
@@ -711,13 +729,15 @@ def simhash64(texts) -> np.ndarray:
     return (sig_bits << np.arange(64, dtype=np.uint64)[None, :]).sum(axis=1, dtype=np.uint64)
 
 
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a ^ b
-    cnt = np.zeros(x.shape, dtype=np.uint64)
-    for _ in range(64):
-        cnt += x & np.uint64(1)
-        x >>= np.uint64(1)
-    return cnt
+    """Bit distance of 64-bit words: a 256-entry byte popcount table
+    looked up over the 8 bytes of each ``a ^ b``, summed per value."""
+    x = np.asarray(a ^ b).astype(np.uint64)
+    per_byte = _POPCOUNT8[x.reshape(-1).view(np.uint8)].reshape(-1, 8)
+    return per_byte.sum(axis=1, dtype=np.uint64).reshape(x.shape)
 
 
 def simhash_candidate_pairs(ds, max_hamming: int = 3, text_col: str = "text",

@@ -59,6 +59,9 @@ from .fold import _pow2, co_attach, exchange_width, partition_map
 from .keyset import KeySet, _n_shards_for
 
 _MANIFEST = "MANIFEST.json"
+# v2: one-permutation signatures (v1 stored 128-permutation ones; the
+# two do not compare, so a v1 index must be rebuilt)
+_VERSION = 2
 _CHUNK_RE = re.compile(r"^chunk-g(\d+)-[0-9a-f]+\.parquet$")
 _IDX_CACHE: Dict = {}  # (dir, kind, part, gen) -> sorted arrays
 _IDX_CACHE_CAP = 256
@@ -70,11 +73,17 @@ def _read_manifest(index_dir: str) -> Dict:
     path = os.path.join(index_dir, _MANIFEST)
     try:
         with open(path) as f:
-            return json.load(f)
+            m = json.load(f)
     except FileNotFoundError:
         raise FileNotFoundError(
             f"no index manifest at {path}: build did not complete, or "
             "index_dir is not on storage shared with this worker") from None
+    if m.get("version") != _VERSION:
+        raise ValueError(
+            f"index at {index_dir} has format version {m.get('version')}, "
+            f"this code reads version {_VERSION}: its signatures do not "
+            "compare; rebuild it with minhash_index_build")
+    return m
 
 
 def _write_manifest(index_dir: str, m: Dict) -> None:
@@ -233,7 +242,7 @@ def minhash_index_build(ds, index_dir: str, *, num_perm: int = 128,
             "minhash_index_append to grow it")
     os.makedirs(index_dir, exist_ok=True)
     m = {
-        "version": 1, "num_perm": num_perm, "bands": bands,
+        "version": _VERSION, "num_perm": num_perm, "bands": bands,
         "shingle_k": shingle_k, "id_col": id_col, "text_col": text_col,
         "band_shards": _pow2(band_shards or
                              _n_shards_for(expected_docs * bands)),

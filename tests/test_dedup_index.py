@@ -174,3 +174,39 @@ def test_index_hot_bucket_cap_and_sharded_dedup(ray_session, tmp_path):
                                      work_dir=str(tmp_path / "aj"))
     assert (sorted(r["doc_id"] for r in novel_b.take_all())
             == sorted(r["doc_id"] for r in novel_s.take_all()) == [])
+
+
+def test_index_other_version_refused_before_any_write(ray_session, tmp_path):
+    """A manifest of another format version (v1 held 128-permutation
+    signatures, which do not compare with one-permutation ones) is
+    refused by append, probe and dedup — before any chunk is written."""
+    import json
+
+    import ray.data as rd
+
+    idx_dir = str(tmp_path / "old")
+    corpus = pa.table({"doc_id": pa.array(range(8), pa.int64()),
+                       "text": pa.array(_corpus(seed=5, n=8))})
+    assert minhash_index_build(rd.from_arrow(corpus), idx_dir)["version"] == 2
+    path = os.path.join(idx_dir, "MANIFEST.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["version"] = 1
+    with open(path, "w") as f:
+        json.dump(man, f)
+
+    def listing():
+        return sorted((root, tuple(sorted(files)))
+                      for root, _, files in os.walk(idx_dir))
+
+    before = listing()
+    more = pa.table({"doc_id": pa.array([100, 101], pa.int64()),
+                     "text": pa.array(_corpus(seed=6, n=2))})
+    for call in (lambda: minhash_index_append(rd.from_arrow(more), idx_dir),
+                 lambda: minhash_index_probe(rd.from_arrow(more), idx_dir),
+                 lambda: minhash_index_dedup(rd.from_arrow(more), idx_dir)):
+        with pytest.raises(ValueError, match=r"version 1.*version 2.*rebuild"):
+            call()
+    assert listing() == before
+    with open(path) as f:
+        assert json.load(f) == man

@@ -80,6 +80,24 @@ def test_simhash_hamming_properties():
     assert hamming64(a, a)[0] == 0
 
 
+def test_hamming64_matches_bin_count():
+    from presto_bloomfilter_ray.functions.dedup import hamming64
+
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 1 << 64, size=500, dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=500, dtype=np.uint64)
+    a[:3] = [0, 2**64 - 1, 2**64 - 1]
+    b[:3] = [0, 0, 2**64 - 1]
+    want = [bin(int(x) ^ int(y)).count("1") for x, y in zip(a, b)]
+    got = hamming64(a, b)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert want[:3] == [0, 64, 0]
+    # signed words (simhashes ride int64 columns) count as their bits
+    assert hamming64(a.view(np.int64), np.zeros(500, np.int64)).tolist() == [
+        bin(int(x)).count("1") for x in a]
+    assert hamming64(a.reshape(20, 25), b.reshape(20, 25)).shape == (20, 25)
+
+
 def test_simhash_candidates_finds_exact_dup(ray_session):
     import ray.data as rd
 
@@ -222,9 +240,9 @@ def test_minhash_no_phantom_suffix_shingles():
 
     mh = MinHasher(num_perm=16, bands=4, shingle_k=5)
     texts = ["hello world this is a document", "tiny", "", "abcd efgh ijkl"]
-    sh, starts, empty_mask, contam = mh._shingle_stream(
+    sh, starts = mh._shingle_stream(
         pa.array(texts, type=pa.large_string()))
-    valid = ~contam
+    valid = np.ones(len(sh), dtype=bool)  # only real shingles are returned
     # windows per doc = runs between starts
     bounds = list(starts) + [len(sh)]
     for i, t in enumerate(texts):
