@@ -1154,8 +1154,9 @@ def _asof_events_bucketed(sf_dir: str):
     """As-of join with BOTH sides as Datasets (no broadcast): every
     click joined to the user's latest prior event of any other type —
     a right side the size of the event log itself, too large to
-    broadcast at scale. Hash-bucketed co-shuffle + per-bucket
-    merge_asof; oracle = DuckDB native ASOF JOIN."""
+    broadcast at scale. Both sides co-partitioned on the hashed key,
+    one polars join_asof per partition; oracle = DuckDB native ASOF
+    JOIN."""
     from presto_bloomfilter_ray.functions import asof_join_bucketed
 
     ev = _read(sf_dir, "events")

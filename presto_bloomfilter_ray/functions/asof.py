@@ -1,20 +1,26 @@
 """As-of join — attach the latest prior (or next) right-side row per key.
 
-Two physical plans, one semantics:
+One kernel, two partitionings. :func:`_asof` joins a block of left
+rows to a ts-sorted right table with one polars ``join_asof`` (``by``
+the key, timestamps compared in µs) and attaches the matched right
+row's values with one ``take`` per column. The two plans differ only
+in how left rows meet the right rows of their key:
 
-* :func:`asof_join` — broadcast the (smaller) right side keyed +
-  ts-sorted, probe each left batch with vectorized ``searchsorted``
-  per key run — no shuffle of the left side at all.
-* :func:`asof_join_bucketed` — the large-right-side path: BOTH sides
-  are hash-bucketed on the key and co-shuffled once; each bucket runs
-  ``pd.merge_asof`` inside ``map_groups``. Partitioning assumption
-  (stated, enforced by the hash): all rows of one key land in one
-  bucket; scale ``n_buckets`` with the cluster.
+* :func:`asof_join` — one partition: the (smaller) right side is
+  sorted once and broadcast with ``ray.put``; every left batch runs the
+  kernel against all of it, and the left side is never shuffled.
+* :func:`asof_join_bucketed` — the large-right-side plan: both sides
+  meet in the partitions of :func:`~.fold.co_attach` on the hashed
+  key, and each partition runs the kernel on its own rows. All rows of
+  one key land in one partition; scale ``n_buckets`` with the cluster.
 
 Semantics match SQL ``ASOF JOIN`` (DuckDB): for ``direction=
 "backward"``, each left row gets the right row with the greatest
-``ts_right <= ts_left`` for its key; left rows with no match keep
-nulls.
+``ts_right <= ts_left`` for its key (``"forward"``: the least
+``ts_right >= ts_left``); left rows with no match, a NULL key or a
+NULL timestamp keep nulls. Among right rows tied on key and
+timestamp, the broadcast plan takes the last (backward) or first
+(forward) in ``right_df``'s order, the bucketed plan any one of them.
 """
 
 from __future__ import annotations
@@ -27,35 +33,38 @@ import pyarrow.compute as pc
 
 import ray
 
+from .fold import co_attach
 
-def _index_right(right_df, key: str, ts: str, value_cols: List[str]):
-    """Broadcast layout for the as-of probe: the right side globally
-    sorted by (key, ts), keys run-length encoded.
+_US = pa.timestamp("us")
 
-    → (sorted unique keys, per-key offsets (len(ukeys)+1), global ts
-    int64 µs array, {col: Arrow array}). A probe match is a GLOBAL row
-    position, so value attach is one vectorized ``pc.take`` per column
-    with null-masked indices — no per-row Python objects (round-2
-    verdict #4)."""
-    import pandas as pd
 
-    df = right_df.copy()
-    # normalize to µs epoch ints regardless of pandas' ns default, so
-    # comparisons line up with Arrow timestamp[us] on the left side
-    df[ts] = pd.to_datetime(df[ts]).astype("datetime64[us]")
-    df = df.sort_values([key, ts], kind="stable").reset_index(drop=True)
-    n = len(df)
-    karr = df[key].to_numpy()
-    if n == 0:
-        return (karr, np.zeros(1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                {c: pa.Array.from_pandas(df[c]) for c in value_cols})
-    first = np.ones(n, dtype=bool)
-    first[1:] = karr[1:] != karr[:-1]
-    starts = np.flatnonzero(first).astype(np.int64)
-    offsets = np.concatenate([starts, [n]])
-    return (karr[starts], offsets, df[ts].astype("int64").to_numpy(),
-            {c: pa.Array.from_pandas(df[c]) for c in value_cols})
+def _asof(left: pa.Table, right: pa.Table, key: str, ts: str,
+          value_cols: List[str], direction: str, suffix: str) -> pa.Table:
+    """``left`` plus ``<ts><suffix>`` (µs) and ``<col><suffix>`` of its
+    as-of match in ``right`` (columns ``key``, ``ts`` as µs and
+    ``value_cols``, sorted by ``ts``); nulls where unmatched."""
+    import polars as pl
+
+    def frame(idx, t, kcol):
+        return pl.from_arrow(pa.table({
+            idx: np.arange(t.num_rows, dtype=np.int64), "_k": kcol,
+            "_ts": pc.cast(t.column(ts), _US, safe=False)}))
+
+    lf = frame("_i", left, left.column(key)).sort("_ts")
+    rf = frame("_j", right,
+               right.column(key).cast(left.schema.field(key).type))
+    match = (lf.join_asof(rf, on="_ts", by="_k", strategy=direction,
+                          check_sortedness=False)
+             .sort("_i")["_j"].to_arrow())
+    out = left.append_column(f"{ts}{suffix}", right.column(ts).take(match))
+    for c in value_cols:
+        out = out.append_column(f"{c}{suffix}", right.column(c).take(match))
+    return out
+
+
+def _check(direction: str):
+    if direction not in ("backward", "forward"):
+        raise ValueError("direction must be 'backward' or 'forward'")
 
 
 def range_join(left_ds, intervals_df, on: str, lo: str = "lo", hi: str = "hi",
@@ -108,92 +117,16 @@ def asof_join(left_ds, right_df, key: str, ts: str, value_cols: List[str],
 
     ``right_df`` is a pandas DataFrame (the broadcastable side).
     """
-    if direction not in ("backward", "forward"):
-        raise ValueError("direction must be 'backward' or 'forward'")
-    idx = _index_right(right_df, key, ts, value_cols)
-    ref = ray.put(idx)
+    _check(direction)
+    right = pa.Table.from_pandas(right_df[[key, ts, *value_cols]],
+                                 preserve_index=False)
+    right = right.set_column(1, ts, pc.cast(right.column(ts), _US,
+                                            safe=False))
+    ref = ray.put(right.sort_by(ts))
 
     def probe(batch: pa.Table) -> pa.Table:
-        ukeys, offsets, rts, rvals = ray.get(ref)
-        n = batch.num_rows
-        if n == 0:  # map operators usually skip empty blocks; be safe
-            out = batch.append_column(f"{ts}{suffix}",
-                                      pa.nulls(0, pa.timestamp("us")))
-            for c in value_cols:
-                out = out.append_column(f"{c}{suffix}",
-                                        pa.nulls(0, rvals[c].type))
-            return out
-        kcol = batch.column(key)
-        # unify units: whatever timestamp resolution the source block
-        # carries, compare in µs (arrow rescales on timestamp casts)
-        ts_vals = np.asarray(batch.column(ts).cast(pa.timestamp("us")).cast(pa.int64()))
-        match_pos = np.full(n, -1, dtype=np.int64)  # global right-row index
-        # group probe rows into key runs: null-free numeric keys sort
-        # in numpy (np.asarray on a NULLABLE int column would yield
-        # float64 and merge adjacent keys above 2^53 — round-2 advice);
-        # everything else takes the object path, null keys unmatched
-        numeric = (pa.types.is_integer(kcol.type)
-                   or pa.types.is_floating(kcol.type))
-        if numeric and kcol.null_count == 0:
-            karr = np.asarray(kcol)
-            order = np.argsort(karr, kind="stable")
-            sorted_keys = karr[order]
-            run_starts = np.concatenate(
-                ([0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1, [n]))
-            key_of_run = lambda s: sorted_keys[s].item()  # noqa: E731
-        else:
-            # string (or nullable-numeric) keys: dictionary-encode and
-            # run the SAME numpy argsort/run-boundary machinery on the
-            # integer codes — no per-row Python (round-3 verdict #2).
-            # Runs group by code, not sorted key order, which is fine:
-            # the run loop only needs same-key rows contiguous.
-            enc = pc.dictionary_encode(kcol)
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            dict_np = np.asarray(enc.dictionary)
-            codes = np.asarray(
-                pc.fill_null(enc.indices.cast(pa.int64()), -1))
-            order_all = np.argsort(codes, kind="stable")
-            order = order_all[codes[order_all] >= 0]  # nulls unmatched
-            sorted_codes = codes[order]
-            m = len(order)
-            if m == 0:
-                run_starts = np.zeros(1, dtype=np.int64)
-            else:
-                run_starts = np.concatenate(
-                    ([0],
-                     np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1,
-                     [m]))
-            key_of_run = lambda s: dict_np[sorted_codes[s]]  # noqa: E731
-        for r in range(len(run_starts) - 1):
-            i, j = int(run_starts[r]), int(run_starts[r + 1])
-            rows = order[i:j]
-            kval = key_of_run(i)
-            ki = int(np.searchsorted(ukeys, kval))
-            if ki >= len(ukeys) or ukeys[ki] != kval:
-                continue
-            lo, hi = int(offsets[ki]), int(offsets[ki + 1])
-            seg = rts[lo:hi]
-            if direction == "backward":
-                pos = np.searchsorted(seg, ts_vals[rows], side="right") - 1
-                ok = pos >= 0
-            else:
-                pos = np.searchsorted(seg, ts_vals[rows], side="left")
-                ok = pos < len(seg)
-            match_pos[rows[ok]] = lo + pos[ok]
-        valid = match_pos >= 0
-        ts_out = np.zeros(n, dtype=np.int64)
-        ts_out[valid] = rts[match_pos[valid]]
-        out = batch.append_column(
-            f"{ts}{suffix}",
-            pa.Array.from_pandas(  # masked int64 → timestamp, no row loop
-                ts_out, mask=~valid, type=pa.timestamp("us")),
-        )
-        # one vectorized take per value column: null indices → nulls
-        indices = pa.array(np.where(valid, match_pos, 0), mask=~valid)
-        for c in value_cols:
-            out = out.append_column(f"{c}{suffix}", pc.take(rvals[c], indices))
-        return out
+        return _asof(batch, ray.get(ref), key, ts, value_cols, direction,
+                     suffix)
 
     return left_ds.map_batches(probe, batch_format="pyarrow")
 
@@ -203,73 +136,40 @@ def asof_join_bucketed(left_ds, right_ds, key: str, ts: str,
                        suffix: str = "_r", n_buckets: int = 64):
     """As-of join where BOTH sides are Datasets — no broadcast.
 
-    Both sides are bucketed on ``hash(key) & (n_buckets - 1)`` and
-    union-shuffled ONCE; every bucket independently runs
-    ``pd.merge_asof(..., by=key)`` inside ``map_groups``. The right
-    side ships only ``[key, ts, *value_cols]``. Output = every left
-    row + ``<ts><suffix>`` and ``<col><suffix>`` columns (nulls when
+    Both sides meet in partition ``hash(key) & (n_buckets - 1)`` of one
+    :func:`~.fold.co_attach`, and every partition runs the same kernel
+    as :func:`asof_join`. The right side ships only ``[key, ts,
+    *value_cols]``; both sides carry the key as one type (it is hashed
+    to pick the partition). Output = every left row (``ts`` as µs) +
+    ``<ts><suffix>`` and ``<col><suffix>`` columns (nulls when
     unmatched) — identical semantics to :func:`asof_join`.
     """
-    import pandas as pd
-
     from ..sketches.hashing import hash64
 
-    if direction not in ("backward", "forward"):
-        raise ValueError("direction must be 'backward' or 'forward'")
-    from .fold import _pow2
+    _check(direction)
+    h = "_asof_h"
 
-    n_buckets = _pow2(n_buckets)  # '& (n-1)' masks need a power of two
-    left_schema = left_ds.schema()
-    left_cols = list(left_schema.names)
-    left_types = {n: t for n, t in zip(left_schema.names, left_schema.types)}
-    right_schema = right_ds.schema()
-    right_types = {n: t for n, t in zip(right_schema.names, right_schema.types)}
-    ts_out = f"{ts}{suffix}"
-    val_out = [f"{c}{suffix}" for c in value_cols]
-    ts_t = pa.timestamp("us")
+    def hashed(b: pa.Table) -> pa.Table:
+        return b.append_column(h, pa.array(
+            hash64(b.column(key), 0xA50F).view(np.int64)))
 
-    def _bucket_col(tbl: pa.Table) -> pa.Array:
-        h = hash64(tbl.column(key), 0xA50F)
-        return pa.array((h & np.uint64(n_buckets - 1)).astype(np.int64))
+    def arrow_types(ds):
+        """``ds`` with the hash column, and its ``{column: Arrow type}``
+        with ``ts`` as µs (read from ``ds`` itself when every hashed
+        block is empty)."""
+        tagged = ds.map_batches(hashed, batch_format="pyarrow")
+        s = (tagged.schema() or ds.schema()).base_schema
+        return tagged, {**dict(zip(s.names, s.types)), h: pa.int64(),
+                        ts: _US}
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        cols = {"_bucket": _bucket_col(b), "_side": pa.array(np.zeros(b.num_rows, np.int8))}
-        for c in left_cols:
-            col = b.column(c)
-            cols[c] = col.cast(ts_t) if c == ts else col
-        cols[ts_out] = pa.nulls(b.num_rows, ts_t)
-        for c, o in zip(value_cols, val_out):
-            cols[o] = pa.nulls(b.num_rows, right_types[c])
-        return pa.table(cols)
+    left_h, ltypes = arrow_types(left_ds)
+    right_h, rtypes = arrow_types(right_ds)
+    keyed_schema = [(n, rtypes[n]) for n in [key, ts, *value_cols, h]]
 
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {"_bucket": _bucket_col(b), "_side": pa.array(np.ones(b.num_rows, np.int8))}
-        rts = b.column(ts).cast(ts_t)
-        for c in left_cols:
-            if c == key:
-                cols[c] = b.column(key)
-            elif c == ts:
-                cols[c] = rts
-            else:
-                cols[c] = pa.nulls(b.num_rows, left_types[c])
-        cols[ts_out] = rts  # carried so matches surface the right-side ts
-        for c, o in zip(value_cols, val_out):
-            cols[o] = b.column(c)
-        return pa.table(cols)
+    def join(keyed: pa.Table, rows: pa.Table) -> pa.Table:
+        return _asof(rows.drop_columns([h]), keyed.sort_by(ts), key, ts,
+                     value_cols, direction, suffix)
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["_side"] == 0].drop(columns=["_bucket", "_side", ts_out, *val_out])
-        r = g[g["_side"] == 1][[key, ts, ts_out, *val_out]]
-        l = l.sort_values(ts, kind="stable")
-        r = r.sort_values(ts, kind="stable")
-        out = pd.merge_asof(l, r, on=ts, by=key, direction=direction)
-        return out
-
-    tagged = (
-        left_ds.map_batches(tag_left, batch_format="pyarrow")
-        .union(right_ds.map_batches(tag_right, batch_format="pyarrow"))
-        # coalesce: many tiny upstream blocks make the sort shuffle
-        # quadratic in fragments (PERF.md §12)
-        .repartition(n_buckets)
-    )
-    return tagged.groupby("_bucket").map_groups(join_bucket, batch_format="pandas")
+    return co_attach(right_h, left_h, join, left_key=h, right_key=h,
+                     n_parts=n_buckets, left_schema=keyed_schema,
+                     right_schema=list(ltypes.items()))

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import exchange
+
 __all__ = ["standardize_by_key", "pivot_counts", "rollup_counts",
            "ntile_by_key", "set_op_counts", "explode_list",
            "mad_outliers_by_key"]
@@ -128,6 +130,18 @@ def rollup_counts(ds, keys: List[str], sum_cols: Optional[List[str]] = None):
     return out
 
 
+def _median(e):
+    """numpy's ``np.median`` of a float64 group as a polars expression:
+    the mean of the middle pair of the sorted values (linear
+    interpolation at 0.5, the same double SQL ``median()`` computes),
+    NaN when any value is NaN."""
+    import polars as pl
+
+    s, n = e.sort(), e.len()
+    return (pl.when(e.is_nan().any()).then(float("nan"))
+            .otherwise((s.get((n - 1) // 2) + s.get(n // 2)) / 2))
+
+
 def mad_outliers_by_key(ds, key_col: str, value_col: str,
                         k: float = 3.0, round_digits: int = 6):
     """Robust per-key outlier detection: flag rows with
@@ -135,29 +149,34 @@ def mad_outliers_by_key(ds, key_col: str, value_col: str,
     robust-statistics alternative to z-scores (medians don't move when
     the outliers themselves do).
 
-    Exact medians via per-key ``map_groups`` (same partitioning
-    assumption as `ntile_by_key`; for corpus-scale keys use the KLL
+    Exact medians via one vectorized polars ``group_by`` per
+    :func:`~.fold.exchange` bucket (every row of a key lands in one
+    bucket; for corpus-scale keys use the KLL
     `~.sampling.quantile_band_filter` instead). Median/MAD use linear
     interpolation — numpy and SQL ``median()`` compute the identical
-    double. Returns per-key ``(key, n, median, mad, n_outliers)`` with
-    median/mad rounded to ``round_digits``.
+    double; NULL values count as NaN. Returns per-key ``(key, n,
+    median, mad, n_outliers)`` with median/mad rounded to
+    ``round_digits``.
     """
-    import pandas as pd
+    def per_bucket(g: pa.Table) -> pa.Table:
+        import polars as pl
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        v = g[value_col].to_numpy(dtype=np.float64)
-        med = np.median(v)
-        mad = np.median(np.abs(v - med))
-        out = int(np.sum(np.abs(v - med) > k * mad))
-        return pd.DataFrame({
-            key_col: [g[key_col].iloc[0]],
-            "n": np.array([len(v)], dtype=np.int64),
-            "median": [round(float(med), round_digits)],
-            "mad": [round(float(mad), round_digits)],
-            "n_outliers": np.array([out], dtype=np.int64),
+        v = pl.col(value_col).cast(pl.Float64).fill_null(float("nan"))
+        med = _median(v)
+        dev = (v - med).abs()
+        mad = _median(dev)
+        t = pl.from_arrow(g).group_by(key_col).agg(
+            n=pl.len().cast(pl.Int64), median=med, mad=mad,
+            n_outliers=(dev > k * mad).sum().cast(pl.Int64))
+        return pa.table({
+            key_col: t[key_col].to_arrow().cast(g.schema.field(key_col).type),
+            "n": t["n"].to_arrow(),
+            **{c: pa.array([round(x, round_digits) for x in t[c]],
+                           pa.float64()) for c in ("median", "mad")},
+            "n_outliers": t["n_outliers"].to_arrow(),
         })
 
-    return ds.groupby(key_col).map_groups(per_key, batch_format="pandas")
+    return exchange(ds, [key_col], per_bucket)
 
 
 def ntile_by_key(ds, key_col: str, value_col: str, n: int,
@@ -167,25 +186,27 @@ def ntile_by_key(ds, key_col: str, value_col: str, n: int,
     value[, order_cols])`` bucket (1-based) — exact NTILE semantics:
     with ``cnt = q·n + rem``, the first ``rem`` buckets get ``q+1``
     rows. Ties are made deterministic by ``order_cols`` (pass a unique
-    id). Same per-key ``map_groups`` shape (and partitioning
-    assumption) as `~.windows.session_windows`."""
-    import pandas as pd
-
+    id); NULL and NaN values sort last. One vectorized polars pass per
+    :func:`~.fold.exchange` bucket, like `~.windows.session_windows`."""
     sort_cols = [value_col, *(order_cols or [])]
 
-    def tile(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, kind="stable")
-        cnt = len(g)
-        q, rem = divmod(cnt, n)
-        r = np.arange(cnt, dtype=np.int64)
-        big = rem * (q + 1)  # rows covered by the size-(q+1) buckets
-        bucket = np.where(
-            r < big,
-            r // max(q + 1, 1),
-            rem + (r - big) // max(q, 1) if q else rem)
-        return g.assign(**{out_col: bucket.astype(np.int64) + 1})
+    def tile(g: pa.Table) -> pa.Table:
+        import polars as pl
 
-    return ds.groupby(key_col).map_groups(tile, batch_format="pandas")
+        cnt = pl.len().over(key_col)
+        r = pl.int_range(pl.len()).over(key_col)  # rank in sorted order
+        q, rem = cnt // n, cnt % n
+        big = rem * (q + 1)  # rows covered by the size-(q+1) buckets
+        t = (pl.from_arrow(g.select([key_col, *sort_cols]))
+             .with_row_index("_i")
+             .sort(sort_cols, nulls_last=True, maintain_order=True)
+             .select("_i", pl.when(r < big).then(r // (q + 1))
+                     .otherwise(rem + (r - big) // pl.max_horizontal(q, 1))
+                     .cast(pl.Int64).alias("_t") + 1))
+        return (g.take(t["_i"].to_arrow())
+                .append_column(out_col, t["_t"].to_arrow()))
+
+    return exchange(ds, [key_col], tile)
 
 
 def set_op_counts(left, left_col: str, right, right_col: str):

@@ -24,32 +24,43 @@ This module generalizes the fold used by ``functions/graph.py``:
   collapses each block's duplicates first — a Zipf-hot key contributes
   at most one row per input block to the exchange.
 
-The fold rides on :func:`exchange`, the one bucketed exchange for
-per-key reduces: rows are tagged map-side with their key's bucket and a
-vectorized reducer runs once per non-empty bucket, never once per key.
+One shuffle core: :func:`partition_map` is the only keyed exchange
+in ``functions/`` (the k-means fold, which groups on k clusters,
+aside). Rows meet in the ``key & (width - 1)`` partition of an
+int64 key, so a partition id names a persisted shard or a disjoint
+slice of a hash space, and a vectorized function runs once per
+partition. Two shapes ride on it:
 
-:func:`partition_map` is the other exchange shape: rows meet in the
-``key & (width - 1)`` partition of an int64 key, so a partition id
-names a persisted shard or a disjoint slice of a hash space, and a
-vectorized function runs once per partition. :func:`co_attach` rides
-on it: a keyed table side and a row side meet in one partition, and a
-per-partition function attaches one to the other.
+* :func:`exchange` tags rows map-side with their key's hashed bucket
+  and runs a vectorized per-bucket reducer once per partition, never
+  once per key; :func:`bucket_fold` is its exact fold;
+* :func:`co_attach` unions a keyed table side and a row side, and a
+  per-partition function attaches one to the other.
 
-Used by: exact_dedup, dedup_lines_keep_first, connected components,
-boilerplate/substring scrubs, pair-verification folds, PageRank (all via
-``bucket_fold``); cap_per_key, grouped_sketch / salted_grouped_sketch,
-the per-key window family, snapshot_delta, and the gram pairing of
-edit-distance and containment joins (via ``exchange``); LSH and
-SimHash pairing, MinHash index writes, band join and signature verify,
-KeySet shard writes and its co-partitioned filter, triangle wedges,
-IVF bucket pairing, sequence packing and BM25 postings writes (via
-``partition_map``); MinHash signature verification
-(``dedup._verify_pairs``), the MinHash index probe, edit-distance
-verification, dataset connected components and triangle closure (via
-``co_attach``).
-The count-sized exchanges (LSH and SimHash pairing, the MinHash index
-probe, dataset connected components) take their partition count from
-:func:`exchange_width`.
+Used by:
+
+* ``bucket_fold``: exact_dedup, dedup_lines_keep_first, connected
+  components, boilerplate/substring scrubs, pair-verification folds,
+  PageRank;
+* ``exchange``: cap_per_key, grouped_sketch / salted_grouped_sketch,
+  the per-key window family, snapshot_delta, ``mad_outliers_by_key``
+  and ``ntile_by_key``, and the gram pairing of edit-distance and
+  containment joins;
+* ``partition_map``: LSH and SimHash pairing, MinHash index writes,
+  band join and signature verify, KeySet shard writes and its
+  co-partitioned filter, triangle wedges, IVF bucket pairing,
+  sequence packing, BM25 postings writes, and the partitioned
+  writers (``shuffled_export``, ``curriculum_export``, ``cluster_by``
+  and the trigram index);
+* ``co_attach``: MinHash signature verification
+  (``dedup._verify_pairs``), the MinHash index probe, edit-distance
+  verification, dataset connected components, triangle closure and
+  the bucketed as-of join.
+
+Widths are count-sized by :func:`exchange_width`: every ``exchange``
+whose input row count Ray knows without running it, and LSH and
+SimHash pairing, the MinHash index probe and dataset connected
+components from their own counts.
 """
 
 from __future__ import annotations
@@ -135,34 +146,46 @@ def exchange(ds, keys: Sequence[str],
              pre: Optional[Callable[[pa.Table], pa.Table]] = None,
              num_buckets: int = NUM_BUCKETS,
              batch_size: Optional[int] = None):
-    """Run ``fn`` once per non-empty bucket of ``hash(keys)``.
+    """Run ``fn`` once per non-empty partition of ``hash(keys)``
+    buckets.
 
     Map side: ``pre`` (an optional per-block combiner, e.g. a partial
     top-k or a pre-fold) then :func:`append_bucket`. Reduce side: one
-    ``groupby("_b").map_groups`` over at most ``num_buckets`` groups;
-    ``fn`` gets the whole bucket without the ``_b`` column and must be
-    vectorized over the keys inside it. Every row of a key lands in one
-    bucket, so a per-key reduction inside ``fn`` is exact. Ray 2.49's
-    sort-based ``map_groups`` pays per GROUP (one task-side slice, batch
-    conversion and UDF call each); grouping by the bucket instead of the
-    raw key bounds that to ``num_buckets`` calls at any key cardinality.
-    ``fn`` must return a typed table even when its bucket filters to
-    empty, so downstream blocks share one schema.
+    :func:`partition_map` over the ``_b`` bucket; ``fn`` gets the whole
+    partition without the ``_b`` column and must be vectorized over the
+    keys inside it. Every row of a key lands in one bucket, and every
+    bucket in one partition, so a per-key reduction inside ``fn`` is
+    exact. Ray 2.49's sort-based ``map_groups`` pays per GROUP (one
+    task-side slice, batch conversion and UDF call each); grouping by
+    the bucket instead of the raw key bounds that to ``num_buckets``
+    calls at any key cardinality.
+
+    Width: when Ray knows the input's row count without running it
+    (a materialized dataset, a plain parquet read), the exchange is
+    count-sized by :func:`exchange_width` and coalesced, so a small
+    input is one partition. Otherwise every bucket is its own
+    partition and the sort runs over the input's own blocks:
+    coalescing a lazy input to ``num_buckets`` blocks costs more than
+    the shuffle it feeds (PERF §62). ``fn`` must return a typed table
+    even when its partition filters to empty, so downstream blocks
+    share one schema.
     """
     keys = list(keys)
+    rows = ds._meta_count()
 
     def tag(b: pa.Table) -> pa.Table:
         if pre is not None:
             b = pre(b)
         return append_bucket(b, keys, num_buckets)
 
-    def reduce_bucket(g: pa.Table) -> pa.Table:
+    def reduce(_part: int, g: pa.Table) -> pa.Table:
         return fn(g.drop_columns(["_b"]))
 
-    return (ds.map_batches(tag, batch_format="pyarrow",
-                           batch_size=batch_size)
-            .groupby("_b").map_groups(reduce_bucket,
-                                      batch_format="pyarrow"))
+    return partition_map(
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size),
+        reduce, key="_b",
+        width=num_buckets if rows is None else exchange_width(rows, num_buckets),
+        coalesce=0 if rows is None else None)
 
 
 #: private partition column of partition_map
@@ -184,12 +207,13 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
     and the tagged sides are unioned.
 
     The input is coalesced to ``coalesce`` blocks (default: one per
-    partition) before grouping: the sort-based shuffle fragments every
-    input block into every output partition, so hundreds of tiny
-    upstream blocks (parquet SplitBlocks × map fan-out) make it
-    quadratic in fragments — 16.6 s for a trivial groupby over 291
-    small blocks vs 0.8 s after ``repartition(32)`` at 200k docs
-    (PERF §12). Raise ``width`` with cluster size.
+    partition; ``0`` keeps the input's own blocks) before grouping:
+    the sort-based shuffle fragments every input block into every
+    output partition, so hundreds of tiny upstream blocks (parquet
+    SplitBlocks × map fan-out) make it quadratic in fragments — 16.6 s
+    for a trivial groupby over 291 small blocks vs 0.8 s after
+    ``repartition(32)`` at 200k docs (PERF §12). Raise ``width`` with
+    cluster size.
     """
     mask = _pow2(width) - 1
 
@@ -205,8 +229,9 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
                     for d in (ds if isinstance(ds, list) else [ds])]
     if rest:
         first = first.union(*rest)
-    return (first.repartition(coalesce or mask + 1)
-            .groupby(_PART).map_groups(run, batch_format="pyarrow"))
+    if coalesce != 0:
+        first = first.repartition(coalesce or mask + 1)
+    return first.groupby(_PART).map_groups(run, batch_format="pyarrow")
 
 
 #: private columns of the co_attach layout: the key both sides share

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from .fold import partition_map
 from .sampling import SAMPLE_MULT, _MOD
 
 __all__ = ["curriculum_export", "read_curriculum",
@@ -75,11 +76,7 @@ def shuffled_export(ds, out_dir: str, id_col: str, *,
         return b.append_column("_h", pa.array(h)) \
                 .append_column("_shard", pa.array(shard))
 
-    def write_shard(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"shard": pa.array([], type=pa.int64()),
-                             "rows": pa.array([], type=pa.int64())})
-        s = int(g.column("_shard")[0].as_py())
+    def write_shard(s: int, g: pa.Table) -> pa.Table:
         h = np.asarray(g.column("_h"))
         ids = np.asarray(g.column(id_col))
         order = np.lexsort((ids, h))
@@ -92,11 +89,9 @@ def shuffled_export(ds, out_dir: str, id_col: str, *,
         return pa.table({"shard": pa.array([s], type=pa.int64()),
                          "rows": pa.array([g.num_rows], type=pa.int64())})
 
-    stats = (ds.map_batches(assign, batch_format="pyarrow",
-                            batch_size=None)
-             .groupby("_shard")
-             .map_groups(write_shard, batch_format="pyarrow")
-             .to_pandas())
+    stats = partition_map(ds.map_batches(assign, batch_format="pyarrow",
+                                         batch_size=None),
+                          write_shard, key="_shard", width=n_shards).to_pandas()
     manifest = {"n_shards": n_shards,
                 "rows": int(stats["rows"].sum()),
                 "shards_written": sorted(int(s) for s in stats["shard"])}
@@ -198,11 +193,7 @@ def curriculum_export(ds, out_dir: str, id_col: str, score_col: str, *,
         return b.append_column("_h", pa.array(h)) \
                 .append_column("_g", pa.array(rank * n_shards + shard))
 
-    def write_piece(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"g": pa.array([], type=pa.int64()),
-                             "rows": pa.array([], type=pa.int64())})
-        gid = int(g.column("_g")[0].as_py())
+    def write_piece(gid: int, g: pa.Table) -> pa.Table:
         rank, s = divmod(gid, n_shards)
         h = np.asarray(g.column("_h"))
         ids = np.asarray(g.column(id_col))
@@ -217,11 +208,10 @@ def curriculum_export(ds, out_dir: str, id_col: str, score_col: str, *,
         return pa.table({"g": pa.array([gid], type=pa.int64()),
                          "rows": pa.array([g.num_rows], type=pa.int64())})
 
-    stats = (ds.map_batches(assign, batch_format="pyarrow",
-                            batch_size=None)
-             .groupby("_g").map_groups(write_piece,
-                                       batch_format="pyarrow")
-             .to_pandas())
+    stats = partition_map(ds.map_batches(assign, batch_format="pyarrow",
+                                         batch_size=None),
+                          write_piece, key="_g",
+                          width=(n_bands + 1) * n_shards).to_pandas()
     manifest = {"n_bands": n_bands, "n_shards": n_shards,
                 "cutoffs": [float(c) for c in cuts],
                 "rows": int(stats["rows"].sum()),

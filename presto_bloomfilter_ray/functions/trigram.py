@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import partition_map
+
 __all__ = ["TrigramIndex"]
 
 
@@ -104,14 +106,10 @@ class TrigramIndex:
             return pa.table({
                 "tri": pa.array(tri.astype(np.int32)),
                 "doc": pa.array(packed >> 24),
-                "shard": pa.array((tri % n_shards).astype(np.int32)),
+                "shard": pa.array((tri % n_shards).astype(np.int64)),
             })
 
-        def write_shard(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"shard": pa.array([], type=pa.int64()),
-                                 "rows": pa.array([], type=pa.int64())})
-            s = int(g.column("shard")[0].as_py())
+        def write_shard(s: int, g: pa.Table) -> pa.Table:
             tri = np.asarray(g.column("tri"))
             doc = np.asarray(g.column("doc"))
             order = np.lexsort((doc, tri))
@@ -138,11 +136,10 @@ class TrigramIndex:
                              "rows": pa.array([g.num_rows],
                                               type=pa.int64())})
 
-        return (ds.map_batches(postings, batch_format="pyarrow",
-                               batch_size=None)
-                .groupby("shard")
-                .map_groups(write_shard, batch_format="pyarrow")
-                .to_pandas())
+        return partition_map(ds.map_batches(postings, batch_format="pyarrow",
+                                            batch_size=None),
+                             write_shard, key="shard",
+                             width=n_shards).to_pandas()
 
     def _manifest(self):
         with open(os.path.join(self.root, "manifest.json")) as f:

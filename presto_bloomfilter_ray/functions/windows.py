@@ -6,8 +6,8 @@ Dataset primitives, per the documented pattern: tumbling/sliding =
 vectorized window-key assignment inside ``map_batches`` + groupby
 (each event maps to its window keys map-side — the shuffle moves
 pre-keyed rows once); the per-key ordered family (lag / cumulative /
-transitions / session) = ``groupby(hash(key) % B).map_groups`` with
-ONE vectorized polars ``sort(key, ts) + over(key)`` pass per bucket —
+transitions / session) = one :func:`~.fold.exchange` on ``hash(key)``
+with ONE vectorized polars ``sort(key, ts) + over(key)`` pass per call —
 never a Ray group per key (Ray 2.49's per-GROUP reduce overhead is
 ~100 s at 1M distinct keys; the bucket shape amortizes it to B
 groups, PERF.md §24/§48).

@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import partition_map
+
 __all__ = ["build_zonemap", "prune", "pruned_read", "cluster_by",
            "read_clustered"]
 
@@ -241,11 +243,7 @@ def cluster_by(ds, col: str, out_dir: str, *, n_files: int = 64,
         shard = np.searchsorted(bounds, v, side="right")
         return b.append_column("_shard", pa.array(shard.astype(np.int64)))
 
-    def write_range(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"shard": pa.array([], type=pa.int64()),
-                             "rows": pa.array([], type=pa.int64())})
-        s = int(g.column("_shard")[0].as_py())
+    def write_range(s: int, g: pa.Table) -> pa.Table:
         order = np.argsort(_sortable(np.asarray(g.column(col))),
                            kind="stable")
         g = g.take(pa.array(order)).drop_columns(["_shard"])
@@ -255,11 +253,9 @@ def cluster_by(ds, col: str, out_dir: str, *, n_files: int = 64,
         return pa.table({"shard": pa.array([s], type=pa.int64()),
                          "rows": pa.array([g.num_rows], type=pa.int64())})
 
-    stats = (ds.map_batches(assign, batch_format="pyarrow",
-                            batch_size=None)
-             .groupby("_shard")
-             .map_groups(write_range, batch_format="pyarrow")
-             .to_pandas())
+    stats = partition_map(ds.map_batches(assign, batch_format="pyarrow",
+                                         batch_size=None),
+                          write_range, key="_shard", width=n_files).to_pandas()
 
     # catalog from the explicit range-file list (the directory also
     # holds the catalog itself on rerun — never glob it into the stats)

@@ -1,8 +1,10 @@
 """Count-sized exchange widths (``fold.exchange_width``): the sizing
 rule itself, and proof that the width is scheduling only — LSH edges,
 MinHash survivors, SimHash pairs, connected-component labels, MinHash
-index matches, edit-distance pairs and triangle counts are
-bit-identical whether an input runs as one partition or as many."""
+index matches, edit-distance pairs, triangle counts, and the
+``fold.exchange`` reduces of bucket_fold, cap_per_key and
+grouped_sketch are bit-identical whether an input runs as one
+partition or as many."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -207,3 +209,107 @@ def test_triangle_count_width_invariant(ray_session, monkeypatch):
         assert widths == [n]
     assert counts[1] > 0
     assert counts[1] == counts[8]
+
+
+def _exchange_widths(monkeypatch):
+    """Record the ``(width, coalesce)`` of every ``partition_map``
+    ``fold.exchange`` runs."""
+    widths = []
+    original = fold.partition_map
+
+    def spy(ds, fn, *, key, width, coalesce=None):
+        widths.append((width, coalesce))
+        return original(ds, fn, key=key, width=width, coalesce=coalesce)
+
+    monkeypatch.setattr(fold, "partition_map", spy)
+    return widths
+
+
+def _exchange_narrow_and_wide(monkeypatch, rows, run):
+    """``run()`` on an input whose row count Ray knows (so the exchange
+    is count-sized to 1 partition), then again with ``ROWS_PER_PART``
+    lowered so ``rows`` spans at least 4 partitions."""
+    widths = _exchange_widths(monkeypatch)
+    narrow = run()
+    assert widths and set(widths) == {(1, None)}
+    widths.clear()
+    monkeypatch.setattr(fold, "ROWS_PER_PART", max(1, rows // 3))
+    wide = run()
+    assert widths and min(w for w, _ in widths) >= 4
+    return narrow, wide
+
+
+def test_exchange_sized_from_free_count_only(ray_session, monkeypatch):
+    """A count Ray knows without running the input sizes the width; a
+    lazy input keeps one partition per bucket over its own blocks."""
+    import ray.data as rd
+
+    widths = _exchange_widths(monkeypatch)
+    t = pd.DataFrame({"k": np.arange(5_000) % 300, "v": np.ones(5_000, int)})
+    free = rd.from_pandas([t.iloc[:2_000], t.iloc[2_000:]])
+    lazy = free.map_batches(lambda b: b, batch_format="pyarrow")
+    assert free._meta_count() == 5_000 and lazy._meta_count() is None
+    got = [_sorted(fold.bucket_fold(ds, ["k"], [("v", "sum", "s")])
+                   .to_pandas(), ["k", "s"]) for ds in (free, lazy)]
+    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+    pd.testing.assert_frame_equal(got[0], got[1])
+
+
+def test_bucket_fold_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rng = np.random.default_rng(6)
+    n = 3000
+    t = pd.DataFrame({"k": rng.integers(0, 500, n), "k2": rng.integers(0, 3, n),
+                      "v": rng.integers(-50, 50, n)})
+    cols = ["k", "k2", "s", "mn", "n"]
+    narrow, wide = _exchange_narrow_and_wide(
+        monkeypatch, n,
+        lambda: _sorted(fold.bucket_fold(
+            rd.from_pandas(t), ["k", "k2"],
+            [("v", "sum", "s"), ("v", "min", "mn"), (None, "count", "n")])
+            .to_pandas(), cols))
+    ref = (t.groupby(["k", "k2"]).agg(s=("v", "sum"), mn=("v", "min"),
+                                      n=("v", "size")).reset_index())
+    pd.testing.assert_frame_equal(narrow, _sorted(ref, cols), check_dtype=False)
+    pd.testing.assert_frame_equal(narrow, wide)
+
+
+def test_cap_per_key_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    rng = np.random.default_rng(7)
+    n = 4000
+    hosts = np.minimum(rng.zipf(1.3, n), 300)  # a few hot hosts
+    t = pd.DataFrame({"host": [f"h{h}" for h in hosts],
+                      "doc_id": rng.permutation(n)})
+    cols = ["host", "doc_id"]
+    narrow, wide = _exchange_narrow_and_wide(
+        monkeypatch, n,
+        lambda: _sorted(dedup.cap_per_key(rd.from_pandas(t), "host",
+                                          "doc_id", k=5).to_pandas(), cols))
+    ref = _sorted(t.sort_values("doc_id").groupby("host").head(5), cols)
+    pd.testing.assert_frame_equal(narrow, ref)
+    pd.testing.assert_frame_equal(narrow, wide)
+
+
+def test_grouped_sketch_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    from presto_bloomfilter_ray import HyperLogLog
+    from presto_bloomfilter_ray.engine import grouped_sketch
+
+    rng = np.random.default_rng(8)
+    n = 3000
+    langs = np.minimum(rng.zipf(1.5, n), 20)
+    t = pd.DataFrame({"lang": [f"l{x}" for x in langs],
+                      "url": [f"u{x}" for x in rng.integers(0, 2000, n)]})
+
+    def run():
+        g = grouped_sketch(rd.from_pandas(t), key="lang", col="url",
+                           factory=lambda: HyperLogLog(10))
+        return _sorted(g.to_pandas(), ["lang", "sketch"])
+
+    narrow, wide = _exchange_narrow_and_wide(monkeypatch, n, run)
+    assert len(narrow) == t["lang"].nunique()
+    pd.testing.assert_frame_equal(narrow, wide)

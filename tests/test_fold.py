@@ -145,6 +145,25 @@ def test_exchange_empty_input(ray_session):
     assert out.take_all() == []
 
 
+def _schemas(ds):
+    import ray
+
+    return {t.schema for t in ray.get(ds.to_arrow_refs())}
+
+
+def test_no_schema_less_block_reaches_a_caller(ray_session):
+    """Every output block of a count-sized exchange and of a width-1
+    partition_map carries fn's schema: no schema-less empty block."""
+    t = _data(8, n=6_000, n_keys=400)
+    ds = rd.from_arrow([t.slice(0, 1_000), t.slice(1_000, 3_000),
+                        t.slice(4_000)])
+    want = pa.schema([("k", pa.int64()), ("n", pa.int64()),
+                      ("s", pa.int64()), ("call", pa.string())])
+    assert _schemas(exchange(ds, ["k"], _tagger())) == {want}
+    assert _schemas(partition_map(ds, lambda part, rows: rows, key="k",
+                                  width=1)) == {t.schema}
+
+
 # ------------------------------------------------------------ partition_map
 
 _EDGE = [-(1 << 62), -(1 << 62) + 1, -7, -1, 0, (1 << 62) - 1, 1 << 62]
@@ -395,11 +414,21 @@ def _chain(node):
     return out, node
 
 
-#: the one functions module that keeps its own partitioned exchange:
-#: a two-sided hashed-key union reduced by a pandas ``merge_asof``
-_OWN_EXCHANGE = "asof.py"
+#: the one map_groups outside fold.py: the k-means fold groups on k
+#: clusters, not on a partition of the key space
+_OWN_MAP_GROUPS = {("similarity.py", "kmeans_fit")}
 #: partition columns of hand-rolled exchanges that partition_map owns
 _PART_COLS = {"part", "_b", "_aj_part"}
+
+
+def _map_groups_calls(tree):
+    """(enclosing top-level name, line) of every ``.map_groups(...)``
+    call in a module."""
+    return [(getattr(top, "name", None), node.lineno) for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "map_groups"]
 
 
 def _exchange_offenders(functions_dir):
@@ -411,8 +440,9 @@ def _exchange_offenders(functions_dir):
       ``_split`` of a tagged union (co_attach's shape);
     * a ``.repartition(...)`` chained into ``.groupby(...)``, directly
       or through a local name, or a ``groupby`` on ``"part"``, ``"_b"``
-      or ``"_aj_part"`` (partition_map's and exchange's shape), in any
-      module but :data:`_OWN_EXCHANGE`."""
+      or ``"_aj_part"`` (partition_map's and exchange's shape);
+    * any ``.map_groups(...)`` but the ones named in
+      :data:`_OWN_MAP_GROUPS` (by module and top-level function)."""
     offenders = []
     for fname in sorted(os.listdir(functions_dir)):
         if not fname.endswith(".py") or fname == "fold.py":
@@ -430,6 +460,9 @@ def _exchange_offenders(functions_dir):
                     unioned |= names
                 if methods[:1] == ["repartition"]:
                     repartitioned |= names
+        offenders += [f"{fname}:{line} map_groups"
+                      for owner, line in _map_groups_calls(tree)
+                      if (fname, owner) not in _OWN_MAP_GROUPS]
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "_split":
                 offenders.append(f"{fname}:{node.lineno} _split")
@@ -449,8 +482,6 @@ def _exchange_offenders(functions_dir):
             if col == "part" and ((after and after[0] == "union")
                                   or (not after and name in unioned)):
                 offenders.append(f"{fname}:{node.lineno} union → groupby")
-            if fname == _OWN_EXCHANGE:
-                continue
             if rest[:1] == ["repartition"] or name in repartitioned:
                 offenders.append(f"{fname}:{node.lineno} repartition → groupby")
             if col in _PART_COLS:
@@ -459,8 +490,12 @@ def _exchange_offenders(functions_dir):
 
 
 def test_co_partition_exchange_stays_in_fold():
-    """No functions module but fold.py (and asof.py's merge_asof
-    exchange) hand-rolls a partitioned exchange: co_attach,
-    partition_map and exchange own them."""
+    """No functions module but fold.py hand-rolls a partitioned
+    exchange or a ``map_groups`` (the k-means fold aside): co_attach,
+    partition_map and exchange own them, and fold.py's one
+    ``map_groups`` is partition_map's."""
     offenders = _exchange_offenders(_FUNCTIONS)
     assert not offenders, offenders
+    with open(os.path.join(_FUNCTIONS, "fold.py")) as f:
+        owners = [o for o, _ in _map_groups_calls(ast.parse(f.read()))]
+    assert owners == ["partition_map"], owners
