@@ -28,7 +28,7 @@ table. Partitioning contracts (100 TB design notes):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
@@ -174,9 +174,9 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
     from .fold import bucket_fold
 
     dups = KeySet.build(
-        bucket_fold(ds.map_batches(hash_pairs, batch_format="pyarrow"),
-                    ["content_hash"],
-                    [(None, "count", "n"), (id_col, "min", "keep_id")])
+        bucket_fold(ds, ["content_hash"],
+                    [(None, "count", "n"), (id_col, "min", "keep_id")],
+                    pre=hash_pairs)
         .map_batches(only_dups, batch_format="pyarrow").materialize(),
         "content_hash", "keep_id", broadcast_limit=broadcast_limit,
         work_dir=work_dir, prefix="exact-dedup-shards-")
@@ -832,7 +832,8 @@ def ngram_jaccard(a: str, b: str, n: int = 5) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def cap_per_key(ds, key_col: str, order_col: str, k: int):
+def cap_per_key(ds, key_col: str, order_col: str, k: int, *,
+                pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Keep the ``k`` smallest ``order_col`` rows per ``key_col`` — the
     per-host document cap every Common-Crawl pipeline runs so hot
     domains can't dominate the training mix (selection is deterministic:
@@ -852,6 +853,11 @@ def cap_per_key(ds, key_col: str, order_col: str, k: int):
     The output keeps the input schema. Carry only the columns you need
     into ``ds`` (id + key) and semi-join the survivors back against the
     full table — candidate rows travel whole.
+
+    ``pre``: the caller's per-block map (e.g. deriving ``key_col``),
+    run map-side before phase 1, as :func:`~.fold.exchange`'s ``pre``.
+    Passing it here instead of mapping ``ds`` first keeps the input's
+    free row count, so the exchange is count-sized.
     """
     from .fold import exchange
 
@@ -886,7 +892,10 @@ def cap_per_key(ds, key_col: str, order_col: str, k: int):
         keep_idx = np.sort(order[keep_sorted])
         return b.take(pa.array(keep_idx))
 
-    return exchange(ds, [key_col], local_cap, pre=local_cap)
+    def pre_cap(b: pa.Table) -> pa.Table:
+        return local_cap(b if pre is None else pre(b))
+
+    return exchange(ds, [key_col], local_cap, pre=pre_cap)
 
 
 def minhash_join(a_ds, b_ds, *, threshold: float = 0.8,

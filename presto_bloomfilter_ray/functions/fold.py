@@ -60,7 +60,17 @@ Used by:
 Widths are count-sized by :func:`exchange_width`: every ``exchange``
 whose input row count Ray knows without running it, and LSH and
 SimHash pairing, the MinHash index probe and dataset connected
-components from their own counts.
+components from their own counts. A caller that derives its keys
+per block passes that map as ``pre`` (``exchange``, ``bucket_fold``,
+``cap_per_key``) rather than mapping the input first, since any map
+hides the free count.
+
+Two plans: at width 1 (a caller's width of 1, or a count-sized
+exchange under :data:`ROWS_PER_PART` rows) the key check fuses into
+each input's last map, ``repartition(1)`` makes one block, and one
+``map_batches(batch_size=None)`` calls ``fn(0, rows)``: no partition
+tag, no sort, no ``map_groups`` (PERF §63). Wider, rows are tagged
+with their partition and grouped by Ray's sort shuffle.
 """
 
 from __future__ import annotations
@@ -163,10 +173,14 @@ def exchange(ds, keys: Sequence[str],
     Width: when Ray knows the input's row count without running it
     (a materialized dataset, a plain parquet read), the exchange is
     count-sized by :func:`exchange_width` and coalesced, so a small
-    input is one partition. Otherwise every bucket is its own
-    partition and the sort runs over the input's own blocks:
-    coalescing a lazy input to ``num_buckets`` blocks costs more than
-    the shuffle it feeds (PERF §62). ``fn`` must return a typed table
+    input is one partition and runs :func:`partition_map`'s sort-free
+    width-1 plan (one ``fn`` call over one block). Otherwise every
+    bucket is its own partition and the sort runs over the input's
+    own blocks: coalescing a lazy input to ``num_buckets`` blocks
+    costs more than the shuffle it feeds (PERF §62). Mapping ``ds``
+    before the call hides its count, so pass a per-block map as
+    ``pre`` instead; ``pre`` must not add rows, since the width is
+    sized from the input's count. ``fn`` must return a typed table
     even when its partition filters to empty, so downstream blocks
     share one schema.
     """
@@ -214,12 +228,23 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
     for a trivial groupby over 291 small blocks vs 0.8 s after
     ``repartition(32)`` at 200k docs (PERF §12). Raise ``width`` with
     cluster size.
+
+    Width 1, coalesced: the plan is the key check fused into each
+    input's last map, ``repartition(1)`` and one
+    ``map_batches(batch_size=None)`` calling ``fn(0, rows)`` over the
+    one block — no ``_co_part`` tag, no sort, no ``map_groups``. Empty
+    input never calls ``fn`` (Ray skips empty blocks). Wider widths,
+    and width 1 with ``coalesce=0``, group by the tag in Ray's sort
+    shuffle.
     """
     mask = _pow2(width) - 1
+    one = mask == 0 and coalesce != 0
 
     def tag(b: pa.Table) -> pa.Table:
         if b.schema.field(key).type != pa.int64():
             raise ValueError(f"partition_map key {key!r} must be int64")
+        if one:
+            return b
         return b.append_column(_PART, pc.bit_wise_and(b.column(key), mask))
 
     def run(g: pa.Table) -> pa.Table:
@@ -229,6 +254,10 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
                     for d in (ds if isinstance(ds, list) else [ds])]
     if rest:
         first = first.union(*rest)
+    if one:
+        # one partition: one block, one call; Ray skips empty blocks
+        return first.repartition(1).map_batches(
+            lambda g: fn(0, g), batch_format="pyarrow", batch_size=None)
     if coalesce != 0:
         first = first.repartition(coalesce or mask + 1)
     return first.groupby(_PART).map_groups(run, batch_format="pyarrow")
@@ -314,7 +343,8 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
 
 def bucket_fold(ds, keys: Sequence[str],
                 aggs: Sequence[Tuple[Optional[str], str, str]],
-                num_buckets: int = NUM_BUCKETS):
+                num_buckets: int = NUM_BUCKETS, *,
+                pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """Exact ``groupby(keys).aggregate(...)`` via a bucket-keyed fold.
 
     ``aggs``: tuples ``(col, op, alias)`` with ``op`` in
@@ -325,6 +355,11 @@ def bucket_fold(ds, keys: Sequence[str],
     group on computed hashes / ids). ``num_buckets`` bounds reduce
     parallelism and per-task group size — size it like a shuffle
     partition count (a bucket holds ~n_distinct_keys/num_buckets keys).
+
+    ``pre``: the caller's per-block map (e.g. deriving the key
+    columns), run map-side before the pre-fold, as :func:`exchange`'s
+    ``pre``. Passing it here instead of mapping ``ds`` first keeps the
+    input's free row count, so the exchange is count-sized.
     """
     import polars as pl
 
@@ -337,6 +372,8 @@ def bucket_fold(ds, keys: Sequence[str],
     out_cols = keys + [a for _, _, a in aggs]
 
     def prefold(b: pa.Table) -> pa.Table:
+        if pre is not None:
+            b = pre(b)
         return pl.from_arrow(b).group_by(keys).agg(map_exprs).to_arrow()
 
     def fold(g: pa.Table) -> pa.Table:

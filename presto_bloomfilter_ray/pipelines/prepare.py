@@ -268,9 +268,7 @@ def prepare_corpus(
 
         run_stage(
             "host_cap", {"cap": host_cap, "url_col": url_col, "id": id_col},
-            lambda ds: cap_per_key(
-                ds.map_batches(add_host, batch_format="pyarrow",
-                               batch_size=None),
-                "_host", id_col, host_cap).drop_columns(["_host"]))
+            lambda ds: cap_per_key(ds, "_host", id_col, host_cap,
+                                   pre=add_host).drop_columns(["_host"]))
 
     return docs, metrics

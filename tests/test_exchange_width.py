@@ -4,7 +4,10 @@ MinHash survivors, SimHash pairs, connected-component labels, MinHash
 index matches, edit-distance pairs, triangle counts, and the
 ``fold.exchange`` reduces of bucket_fold, cap_per_key and
 grouped_sketch are bit-identical whether an input runs as one
-partition or as many."""
+partition or as many. A caller's per-block map passed as ``pre``
+keeps the input's free row count, so prepare_corpus's exchanges are
+count-sized (width 1 on a small input) with the survivors of the
+lazy 64-bucket plan."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -313,3 +316,110 @@ def test_grouped_sketch_width_invariant(ray_session, monkeypatch):
     narrow, wide = _exchange_narrow_and_wide(monkeypatch, n, run)
     assert len(narrow) == t["lang"].nunique()
     pd.testing.assert_frame_equal(narrow, wide)
+
+
+# ------------------------------------------- pre keeps the free count
+
+def _hoster():
+    """A per-block map deriving a key column, as prepare's host cap
+    (built in a closure so workers get it by value)."""
+    def host(b):
+        import pyarrow as pa
+
+        return b.append_column("h", pa.array(
+            [f"h{i % 37}" for i in b.column("doc_id").to_pylist()]))
+
+    return host
+
+
+def test_bucket_fold_pre_equals_mapped_input(ray_session, monkeypatch):
+    import ray.data as rd
+
+    widths = _exchange_widths(monkeypatch)
+    t = pd.DataFrame({"doc_id": np.arange(3_000), "v": np.arange(3_000) % 7})
+    ds = rd.from_pandas([t.iloc[:1_000], t.iloc[1_000:]])
+    cols = ["h", "s", "n"]
+    _host = _hoster()
+    aggs = [("v", "sum", "s"), (None, "count", "n")]
+    got = _sorted(fold.bucket_fold(ds, ["h"], aggs, pre=_host).to_pandas(),
+                  cols)
+    ref = _sorted(fold.bucket_fold(ds.map_batches(_host, batch_format="pyarrow"),
+                                   ["h"], aggs).to_pandas(), cols)
+    pd.testing.assert_frame_equal(got, ref)
+    assert len(got) == 37
+    # pre keeps the free count: count-sized; the mapped input is lazy
+    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+
+
+def test_cap_per_key_pre_equals_mapped_input(ray_session, monkeypatch):
+    import ray.data as rd
+
+    widths = _exchange_widths(monkeypatch)
+    rng = np.random.default_rng(9)
+    t = pd.DataFrame({"doc_id": rng.permutation(3_000)})
+    ds = rd.from_pandas([t.iloc[:1_000], t.iloc[1_000:]])
+    cols = ["doc_id", "h"]
+    _host = _hoster()
+    got = _sorted(dedup.cap_per_key(ds, "h", "doc_id", 4, pre=_host)
+                  .to_pandas(), cols)
+    ref = _sorted(dedup.cap_per_key(
+        ds.map_batches(_host, batch_format="pyarrow"), "h", "doc_id", 4)
+        .to_pandas(), cols)
+    pd.testing.assert_frame_equal(got, ref)
+    assert len(got) == 37 * 4
+    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+
+
+def _all_widths(monkeypatch):
+    """Record the ``(width, coalesce)`` of every ``partition_map`` any
+    functions module runs, ``fold.exchange`` and ``co_attach`` included."""
+    import sys
+
+    widths = []
+    original = fold.partition_map
+
+    def spy(ds, fn, *, key, width, coalesce=None):
+        widths.append((_pow2(width), coalesce))
+        return original(ds, fn, key=key, width=width, coalesce=coalesce)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("presto_bloomfilter_ray.")
+                and getattr(mod, "partition_map", None) is original):
+            monkeypatch.setattr(mod, "partition_map", spy)
+    return widths
+
+
+def _prepare_ids(tmp_path):
+    import ray.data as rd
+
+    from presto_bloomfilter_ray.pipelines import prepare_corpus
+
+    t = pd.DataFrame(_corpus())
+    t["url"] = [f"https://h{i % 6}.example.com/p/{i}" for i in t["doc_id"]]
+    ds = rd.from_pandas([t.iloc[:60], t.iloc[60:]])
+    out, metrics = prepare_corpus(
+        ds, id_col="doc_id", text_col="text", url_col="url",
+        blocked_hosts=["h5.example.com"], host_cap=4,
+        work_dir=str(tmp_path))
+    ids = sorted(out.to_pandas()["doc_id"])
+    return ids, [m["rows"] for m in metrics]
+
+
+def test_prepare_exchanges_width_one_same_survivors(ray_session, monkeypatch,
+                                                    tmp_path):
+    """Over a small input every exchange of prepare_corpus runs at
+    width 1 (sort-free), and the survivors equal those of the lazy
+    64-bucket plan the exact-dedup and host-cap exchanges ran on when
+    their caller mapped the input first."""
+    from ray.data import Dataset
+
+    widths = _all_widths(monkeypatch)
+    ids, rows = _prepare_ids(tmp_path / "a")
+    assert widths and set(widths) == {(1, None)}, widths
+    widths.clear()
+    monkeypatch.setattr(Dataset, "_meta_count", lambda self: None)
+    lazy_ids, lazy_rows = _prepare_ids(tmp_path / "b")
+    assert widths.count((fold.NUM_BUCKETS, 0)) == 2, widths
+    assert ids == lazy_ids and rows == lazy_rows
+    # each exchange stage (exact, near, host cap) removes rows
+    assert rows[1] > rows[2] > rows[3] > rows[4], rows

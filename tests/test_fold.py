@@ -2,8 +2,9 @@
 groupby().aggregate for every supported op, dtypes included; exchange:
 one reducer call per non-empty bucket, each key in exactly one call;
 partition_map: one call per non-empty ``key & (width - 1)`` partition
-with the caller's columns; co_attach: equal to a pyarrow join, one
-schema into the shuffle, and every call sees one partition."""
+with the caller's columns, and no sort in a width-1 plan; co_attach:
+equal to a pyarrow join, one schema into the shuffle, and every call
+sees one partition."""
 import ast
 import os
 
@@ -235,9 +236,51 @@ def test_partition_map_key_must_be_int64(ray_session):
 
 
 def test_partition_map_empty_input(ray_session):
-    t = _keyed_rows().slice(0, 0)
-    out = partition_map(rd.from_arrow(t), _stamper(), key="k", width=8)
-    assert out.count() == 0
+    """Empty input, materialized or mapped to empty blocks, at width 1
+    (sort-free) and 8: ``fn`` is never called and the output has no
+    rows."""
+    def boom(part: int, rows: pa.Table) -> pa.Table:
+        raise AssertionError(f"called on {rows.num_rows} rows")
+
+    t = _keyed_rows()
+    for ds in (rd.from_arrow(t.slice(0, 0)),
+               rd.from_arrow(t).repartition(3).map_batches(
+                   lambda b: b.slice(0, 0), batch_format="pyarrow")):
+        for width in (1, 8):
+            out = partition_map(ds, boom, key="k", width=width).materialize()
+            assert out.count() == 0
+
+
+def _ops(ds):
+    """Names of every logical operator in ``ds``'s plan."""
+    def walk(op):
+        yield type(op).__name__
+        for dep in op.input_dependencies:
+            yield from walk(dep)
+    return list(walk(ds._logical_plan.dag))
+
+
+def test_width_one_plans_have_no_sort(ray_session):
+    """A width-1 partition_map, a width-1 co_attach and a count-sized
+    exchange over a small materialized input run one map over one
+    block: no sort, while a wider partition_map keeps the sort."""
+    t = _keyed_rows(3)
+    ds = rd.from_arrow(t).repartition(5).materialize()
+    left, right = _sides(3)
+    plans = {
+        "partition_map": partition_map(ds, _stamper(), key="k", width=1),
+        "co_attach": co_attach(
+            rd.from_arrow(left), rd.from_arrow(right), _attach_v(1),
+            left_key="k", right_key="rk", n_parts=1,
+            left_schema=_L_SCHEMA, right_schema=_R_SCHEMA),
+        "exchange": exchange(rd.from_arrow(_data(9, n=3_000)), ["k"],
+                             _tagger()),
+    }
+    for name, plan in plans.items():
+        ops = _ops(plan)
+        assert "Sort" not in ops, (name, ops)
+        assert ops.count("Repartition") == 1, (name, ops)
+    assert "Sort" in _ops(partition_map(ds, _stamper(), key="k", width=2))
 
 
 # ------------------------------------------------------------ co_attach

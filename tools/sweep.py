@@ -5,7 +5,7 @@ same comparison the round driver records in CORRECTNESS_r{N}.json.
 
 Usage (from anywhere):
 
-    python tools/sweep.py [sf_dir] [name_prefix ...]
+    python tools/sweep.py [--resume] [sf_dir] [name_prefix ...]
 
 Defaults to /root/testdata/sf0.01. Optional name prefixes restrict the
 sweep (e.g. ``python tools/sweep.py /root/testdata/sf0.01 bloom_ hll_``).
@@ -18,6 +18,11 @@ ledger ``sweep-<sf>.json`` in the repo root (``<sf>`` is the basename
 of ``sf_dir``): a JSON list of ``{"name", "status", "seconds"}`` with
 status ``OK``, ``FAIL``, ``ERR`` or ``TIMEOUT``. Compare two ledgers
 to see which queries a change made slower.
+
+``--resume`` finishes a sweep that died part-way (a Ray core abort
+takes the driver down with no query at fault): queries already ``OK``
+in the existing ledger keep their entries and are skipped, and every
+other query runs and is appended.
 """
 import json
 import os
@@ -26,14 +31,9 @@ import sys
 import time
 import traceback
 
+import pandas as pd
+
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, _REPO)
-os.chdir(_REPO)  # worker imports of presto_bloomfilter_ray need repo cwd
-
-import duckdb  # noqa: E402
-import pandas as pd  # noqa: E402
-
-import ray  # noqa: E402
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -56,9 +56,37 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
             .reset_index(drop=True))
 
 
+def resumed(ledger_path: str) -> list:
+    """The ``OK`` entries of an earlier run's ledger, in its order
+    (none if there is no ledger): a resumed sweep keeps them and skips
+    their queries."""
+    try:
+        with open(ledger_path) as f:
+            return [e for e in json.load(f) if e["status"] == "OK"]
+    except FileNotFoundError:
+        return []
+
+
+def to_run(names, prefixes, done) -> list:
+    """The queries a sweep runs: those matching ``prefixes`` (all if
+    none), minus the ``done`` ones, in their order."""
+    return [n for n in names
+            if (not prefixes or n.startswith(tuple(prefixes)))
+            and n not in done]
+
+
 def main() -> int:
-    sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    prefixes = tuple(sys.argv[2:])
+    args = sys.argv[1:]
+    resume = "--resume" in args
+    args = [a for a in args if a != "--resume"]
+    sf = args[0] if args else "/root/testdata/sf0.01"
+    prefixes = tuple(args[1:])
+    sys.path.insert(0, _REPO)
+    os.chdir(_REPO)  # worker imports of presto_bloomfilter_ray need repo cwd
+    import duckdb
+
+    import ray
+
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  log_to_driver=False)
@@ -71,10 +99,13 @@ def main() -> int:
     qs, osql = E.queries(), E.oracle_sql()
     signal.signal(signal.SIGALRM, _on_alarm)
     fails = []
-    n_run = 0
     ledger_path = os.path.join(
         _REPO, f"sweep-{os.path.basename(os.path.normpath(sf))}.json")
-    ledger = []
+    ledger = resumed(ledger_path) if resume else []
+    names = to_run(qs, prefixes, {e["name"] for e in ledger})
+    if resume:
+        print(f"resume: {len(ledger)} queries OK in {ledger_path}, "
+              f"{len(names)} to run", flush=True)
 
     def record(name, status, t0):
         ledger.append({"name": name, "status": status,
@@ -82,14 +113,11 @@ def main() -> int:
         with open(ledger_path + ".tmp", "w") as f:
             json.dump(ledger, f, indent=1)
         os.replace(ledger_path + ".tmp", ledger_path)
-    for name, fn in qs.items():
-        if prefixes and not name.startswith(prefixes):
-            continue
-        n_run += 1
+    for name in names:
         t0 = time.time()
         signal.alarm(QUERY_TIMEOUT_S)
         try:
-            res = fn(sf)
+            res = qs[name](sf)
             if hasattr(res, "to_pandas"):
                 res = res.to_pandas()
             elif not isinstance(res, pd.DataFrame):
@@ -129,7 +157,7 @@ def main() -> int:
         finally:
             signal.alarm(0)
 
-    print(f"\nTOTAL {n_run} FAILS {len(fails)} {fails}", flush=True)
+    print(f"\nTOTAL {len(names)} FAILS {len(fails)} {fails}", flush=True)
     ray.shutdown()
     return 1 if fails else 0
 
