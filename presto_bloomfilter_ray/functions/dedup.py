@@ -5,7 +5,8 @@ table. Partitioning contracts (100 TB design notes):
 
 * **exact**: one all-to-all shuffle keyed by a 64-bit content hash —
   per-key groups are tiny (true duplicates), so skew is bounded by the
-  actual duplicate multiplicity.
+  actual duplicate multiplicity. An input that fits one block runs as
+  one pass instead (:func:`exact_dedup`).
 * **minhash/simhash**: signatures are computed map-side (vectorized:
   one-permutation MinHash over the flat shingle hashes, a segmented
   ``reduceat`` vote for SimHash); only (band, band_hash, doc_id) candidate
@@ -21,9 +22,10 @@ table. Partitioning contracts (100 TB design notes):
   template-heavy corpora. Jaccard verification attaches signatures to
   edges through two :func:`~.fold.co_attach` exchanges (sig rows and
   edge rows co-partitioned on the same key space) — each signature
-  crosses the wire once per phase; no broadcast, no driver dict. The final
-  connected-components step runs on the verified edge set (min-label
-  propagation over the edge Dataset).
+  crosses the wire once per phase; no broadcast, no driver dict. At
+  width 1 pairing and verification fuse into one pass over one block
+  of signatures. The final connected-components step runs on the
+  verified edge set (min-label propagation over the edge Dataset).
 """
 
 from __future__ import annotations
@@ -134,6 +136,10 @@ def dedup_lines_keep_first(ds, text_col: str = "text",
     return ds.map_batches(rebuild_map, batch_format="pyarrow")
 
 
+#: private content-hash column of exact_dedup's single pass
+_EXACT_KEY = "_exact_h"
+
+
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
                 broadcast_limit: int = 2_000_000,
                 work_dir: Optional[str] = None,
@@ -154,10 +160,57 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
     hash-partitioned into sorted shards under ``work_dir`` (shared
     storage at scale) and removal is a sharded anti-join
     (``co_partition`` picks its plan; see :meth:`~.keyset.KeySet.filter`).
+
+    Single pass: when Ray knows the input's row count and byte size
+    without running it, the count sizes the fold to width 1, a keep-map
+    of that many keys would be broadcast
+    (:meth:`~.keyset.KeySet.broadcasts` under ``broadcast_limit``) and
+    the bytes fit one block (``DataContext.target_max_block_size``),
+    the whole stage is one width-1 :func:`~.fold.partition_map`: hash
+    each block, then over the one block fold the min id per hash and
+    keep rows with the same ``keep_mask`` — one Ray Data execution
+    instead of the fold's and the filter's (PERF §64). Otherwise the
+    plan is the ``bucket_fold`` + :class:`~.keyset.KeySet` one above.
     """
+    from ray.data import DataContext
+
+    from .fold import NUM_BUCKETS, bucket_fold
+
+    def key_of(b: pa.Table) -> np.ndarray:
+        return hash64(normalize_text(b.column(col)), 0xDED0).astype(np.int64)
+
+    def keep_mask(b: pa.Table, keys, found, keep_id) -> np.ndarray:
+        ids = np.asarray(b.column(id_col)).astype(np.int64)
+        return ~found | (ids == keep_id)
+
+    rows = ds._meta_count()
+    if rows == 0:
+        return ds
+    if (rows is not None and exchange_width(rows, NUM_BUCKETS) == 1
+            and KeySet.broadcasts(rows, broadcast_limit)):
+        size = ds._logical_plan.dag.infer_metadata().size_bytes
+        if (size is not None
+                and size <= DataContext.get_current().target_max_block_size):
+            def with_key(b: pa.Table) -> pa.Table:
+                return b.append_column(_EXACT_KEY, pa.array(key_of(b)))
+
+            def keep_first(_part: int, b: pa.Table) -> pa.Table:
+                keys = np.asarray(b.column(_EXACT_KEY))
+                b = b.drop_columns([_EXACT_KEY])
+                ids = np.asarray(b.column(id_col)).astype(np.int64)
+                uniq, inv = np.unique(keys, return_inverse=True)
+                keep_id = np.full(len(uniq), np.iinfo(np.int64).max)
+                np.minimum.at(keep_id, inv, ids)
+                found = np.ones(len(keys), dtype=bool)
+                return b.filter(pa.array(
+                    keep_mask(b, keys, found, keep_id[inv])))
+
+            return partition_map(
+                ds.map_batches(with_key, batch_format="pyarrow"),
+                keep_first, key=_EXACT_KEY, width=1)
+
     def hash_pairs(b: pa.Table) -> pa.Table:
-        h = hash64(normalize_text(b.column(col)), 0xDED0)
-        return pa.table({"content_hash": pa.array(h.astype(np.int64)),
+        return pa.table({"content_hash": pa.array(key_of(b)),
                          id_col: b.column(id_col)})
 
     def only_dups(b: pa.Table) -> pa.Table:
@@ -171,8 +224,6 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
             "keep_id": b.column("keep_id").cast(pa.int64()),
         }).filter(keep)
 
-    from .fold import bucket_fold
-
     dups = KeySet.build(
         bucket_fold(ds, ["content_hash"],
                     [(None, "count", "n"), (id_col, "min", "keep_id")],
@@ -182,14 +233,6 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
         work_dir=work_dir, prefix="exact-dedup-shards-")
     if dups.n == 0:
         return ds
-
-    def key_of(b: pa.Table) -> np.ndarray:
-        return hash64(normalize_text(b.column(col)), 0xDED0).astype(np.int64)
-
-    def keep_mask(b: pa.Table, keys, found, keep_id) -> np.ndarray:
-        ids = np.asarray(b.column(id_col)).astype(np.int64)
-        return ~found | (ids == keep_id)
-
     return dups.filter(ds, key_of, keep_mask, co_partition)
 
 
@@ -451,18 +494,40 @@ def _band_screen(a: np.ndarray, b: np.ndarray, min_bands: int):
     return a[keep], b[keep]
 
 
+def _sig_rows(sigs: pa.Table, ids: np.ndarray, num_perm: int,
+              id_col: str) -> np.ndarray:
+    """Signature rows of ``ids``, looked up with one ``searchsorted`` in
+    ``sigs`` (signature rows sorted by ``id_col``)."""
+    pos = np.searchsorted(np.asarray(sigs.column(id_col)), ids)
+    return _sig_matrix(sigs, num_perm)[pos]
+
+
+def _estimated(a: np.ndarray, b: np.ndarray, sig_a: np.ndarray,
+               sig_b: np.ndarray, min_est: float) -> pa.Table:
+    """``(a, b, est_jaccard)`` of the pairs whose signature agreement
+    ``est_jaccard`` (the share of equal perms) is at least ``min_est``."""
+    est = (sig_a == sig_b).mean(axis=1)
+    ok = est >= min_est  # the caller's threshold
+    return pa.table({"a": pa.array(a[ok], pa.int64()),
+                     "b": pa.array(b[ok], pa.int64()),
+                     "est_jaccard": pa.array(est[ok], pa.float64())})
+
+
 def _verify_pairs(sig_ds, edges, num_perm: int, id_col: str, n_parts: int,
                   min_est: float = 0.0, min_bands: int = 1):
     """Distributed signature verification: estimate Jaccard for every
     candidate edge WITHOUT broadcasting signatures or touching the
-    driver.
+    driver. The plan for widths ≥ 2; at width 1
+    :func:`lsh_candidate_pairs` runs the same screen and estimate
+    fused with pairing in one pass.
 
     Two :func:`~.fold.co_attach` exchanges: phase A co-partitions
     signature rows ``(id, sig)`` with edge rows ``(a, b)`` on ``a`` and
     attaches ``sig_a`` via one vectorized ``searchsorted`` per
     partition; phase B repeats keyed by ``b`` and emits
-    ``(a, b, est_jaccard)``. Each signature crosses the wire once per
-    phase; each edge carries one signature through phase B only.
+    ``(a, b, est_jaccard)`` (:func:`_estimated`). Each signature
+    crosses the wire once per phase; each edge carries one signature
+    through phase B only.
 
     Phase A also DEDUPES edges and applies the ``min_bands``
     band-collision screen (:func:`_band_screen`): every copy of a pair
@@ -476,20 +541,15 @@ def _verify_pairs(sig_ds, edges, num_perm: int, id_col: str, n_parts: int,
     def attach_a(sigs: pa.Table, e: pa.Table) -> pa.Table:
         a, b = _band_screen(np.asarray(e.column("a")),
                             np.asarray(e.column("b")), min_bands)
-        pos = np.searchsorted(np.asarray(sigs.column(id_col)), a)
         return pa.table({"b": pa.array(b, i64), "a": pa.array(a, i64),
                          "sig": _sig_array(
-                             _sig_matrix(sigs, num_perm)[pos], num_perm)})
+                             _sig_rows(sigs, a, num_perm, id_col), num_perm)})
 
     def verify_b(sigs: pa.Table, e: pa.Table) -> pa.Table:
-        pos = np.searchsorted(np.asarray(sigs.column(id_col)),
-                              np.asarray(e.column("b")))
-        est = (_sig_matrix(e, num_perm)
-               == _sig_matrix(sigs, num_perm)[pos]).mean(axis=1)
-        ok = pa.array(est >= min_est)  # the caller's threshold
-        return pa.table({"a": e.column("a").filter(ok),
-                         "b": e.column("b").filter(ok),
-                         "est_jaccard": pa.array(est, pa.float64()).filter(ok)})
+        b = np.asarray(e.column("b"))
+        return _estimated(np.asarray(e.column("a")), b,
+                          _sig_matrix(e, num_perm),
+                          _sig_rows(sigs, b, num_perm, id_col), min_est)
 
     phase_a = co_attach(sig_ds, edges, attach_a, left_key=id_col,
                         right_key="a", n_parts=n_parts,
@@ -549,6 +609,14 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     ~250k rows, PERF §15/§57); ``n_parts`` stays the upper bound, the
     knob to raise with cluster size. Signatures are materialized as a
     Dataset (spillable), never collected.
+
+    Width 1 (under ``ROWS_PER_PART`` band rows, or ``n_parts=1``):
+    pairing, the band-collision screen and the estimate run as one
+    function over one block of the signature table — one width-1
+    :func:`~.fold.partition_map`, so one ``repartition(1)`` and no
+    union or sort (PERF §64). Widths ≥ 2 run the pairing exchange and
+    :func:`_verify_pairs`' two; both plans share the kernels, the
+    screen and the estimate, so the edges are the same.
     """
     kwargs = {"batch_format": "pyarrow"}
     if concurrency:
@@ -565,38 +633,59 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     # sort partition carries fixed task latency, so a small corpus runs
     # one partition; the caller's n_parts stays the upper bound
     n_parts = exchange_width(sig_ds.count() * bands, n_parts)
+    # a pair found by several bands must verify once, not per band — and
+    # the band-collision COUNT is itself a free jaccard screen that
+    # drops the flood of low-jaccard template-bucket pairs BEFORE each
+    # would drag a signature through the verification shuffle. The
+    # screen strength is DERIVED, not guessed: see _min_bands_screen
+    # (the previous fixed 0.25x-expectation rule had a ~1e-4 drop tail
+    # at threshold 0.8 / 32 bands, five orders looser than its comment
+    # claimed — round-2 advice).
+    min_bands = 1
+    if min_est > 0:
+        min_bands = _min_bands_screen(bands, num_perm, min_est)
+
+    def band_rows(t: pa.Table):
+        """(id per band row, band hash per band row) of signature rows."""
+        ids = np.asarray(t.column(id_col)).astype(np.int64)
+        bh = np.asarray(t.column("band_hash").combine_chunks().flatten())
+        return np.repeat(ids, bands), bh
+
+    def candidates(bh: np.ndarray, ids: np.ndarray):
+        ids_sorted, starts, sizes = _bucket_boundaries(bh, ids)
+        return _pairs_from_buckets(ids_sorted, starts, sizes, pair_cutoff)
+
+    if n_parts == 1:
+        def pair_screen_verify(_part: int, t: pa.Table) -> pa.Table:
+            ids, bh = band_rows(t)
+            a, b = _band_screen(*candidates(bh, ids), min_bands)
+            sigs = t.select([id_col, "sig"]).take(
+                pc.sort_indices(t.column(id_col)))
+            return _estimated(a, b, _sig_rows(sigs, a, num_perm, id_col),
+                              _sig_rows(sigs, b, num_perm, id_col), min_est)
+
+        def int64_ids(b: pa.Table) -> pa.Table:  # MinHasher's id comes first
+            return b.set_column(0, id_col, b.column(id_col).cast(pa.int64()))
+
+        return partition_map(
+            sig_ds.map_batches(int64_ids, batch_format="pyarrow"),
+            pair_screen_verify, key=id_col, width=1)
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column(id_col)).astype(np.int64)
-        bh = np.asarray(batch.column("band_hash").combine_chunks().flatten()).reshape(len(ids), bands)
-        return pa.table({
-            id_col: pa.array(np.repeat(ids, bands)),
-            "band_hash": pa.array(bh.reshape(-1)),
-        })
+        ids, bh = band_rows(batch)
+        return pa.table({id_col: pa.array(ids), "band_hash": pa.array(bh)})
 
     def emit_pairs(_part: int, g: pa.Table) -> pa.Table:
-        bh = np.asarray(g.column("band_hash"))
-        ids = np.asarray(g.column(id_col))
-        ids_sorted, starts, sizes = _bucket_boundaries(bh, ids)
-        a, b = _pairs_from_buckets(ids_sorted, starts, sizes, pair_cutoff)
+        a, b = candidates(np.asarray(g.column("band_hash")),
+                          np.asarray(g.column(id_col)))
         return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
     pairs = partition_map(
         sig_ds.select_columns([id_col, "band_hash"])
         .map_batches(explode, batch_format="pyarrow"),
         emit_pairs, key="band_hash", width=n_parts)
-    # a pair found by several bands must verify once, not per band — and
-    # the band-collision COUNT is itself a free jaccard screen that
-    # drops the flood of low-jaccard template-bucket pairs BEFORE each
-    # would drag a signature through the verification shuffle. Both the
-    # dedupe and the screen run INSIDE verification's phase A (same
-    # partitioning). The screen strength is DERIVED, not guessed: see
-    # _min_bands_screen (the previous fixed 0.25x-expectation rule had
-    # a ~1e-4 drop tail at threshold 0.8 / 32 bands, five orders looser
-    # than its comment claimed — round-2 advice).
-    min_bands = 1
-    if min_est > 0:
-        min_bands = _min_bands_screen(bands, num_perm, min_est)
+    # the dedupe and the screen run INSIDE verification's phase A (same
+    # partitioning)
     return _verify_pairs(sig_ds, pairs, num_perm, id_col, n_parts, min_est,
                          min_bands)
 

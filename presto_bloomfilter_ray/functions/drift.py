@@ -55,9 +55,10 @@ def categorical_drift(ds_a, ds_b, key_col: str, cat_col: str, *,
         raise ValueError("column name __drift_n is reserved")
 
     def counts(ds):
-        t = bucket_fold(ds.select_columns([key_col, cat_col]),
-                        [key_col, cat_col], [(None, "count", "__drift_n")],
-                        num_buckets=num_buckets).to_pandas()
+        # the projection rides as ``pre``, keeping the free row count
+        t = bucket_fold(ds, [key_col, cat_col], [(None, "count", "__drift_n")],
+                        num_buckets=num_buckets,
+                        pre=lambda b: b.select([key_col, cat_col])).to_pandas()
         if len(t) > max_cells:
             raise ValueError(
                 f"categorical_drift: {len(t)} (key, category) cells "

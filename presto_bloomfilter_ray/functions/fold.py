@@ -70,7 +70,12 @@ exchange under :data:`ROWS_PER_PART` rows) the key check fuses into
 each input's last map, ``repartition(1)`` makes one block, and one
 ``map_batches(batch_size=None)`` calls ``fn(0, rows)``: no partition
 tag, no sort, no ``map_groups`` (PERF §63). Wider, rows are tagged
-with their partition and grouped by Ray's sort shuffle.
+with their partition and grouped by Ray's sort shuffle. Two dedup
+stages fuse whole chains into that one width-1 call (PERF §64):
+LSH pairing, the band-collision screen and the Jaccard estimate of
+``dedup.lsh_candidate_pairs`` (three exchanges when wider), and
+``dedup.exact_dedup``'s hash fold and keep filter when its input's
+free count and byte size fit one block and the broadcast tier.
 """
 
 from __future__ import annotations

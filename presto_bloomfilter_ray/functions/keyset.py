@@ -244,6 +244,13 @@ class KeySet:
         self.shard_dir = shard_dir
         self.n_shards = n_shards
 
+    @staticmethod
+    def broadcasts(n: int, broadcast_limit: int) -> bool:
+        """Whether :meth:`build` puts a set of ``n`` keys on the
+        broadcast tier, for a caller that can skip building a set it
+        would only broadcast (``exact_dedup``'s single pass)."""
+        return n <= broadcast_limit
+
     @classmethod
     def build(cls, src, key: str, value: Optional[str] = None, *,
               broadcast_limit: int, work_dir: Optional[str] = None,
@@ -260,7 +267,7 @@ class KeySet:
         is_table = isinstance(src, pa.Table)
         n = src.num_rows if is_table else src.count()
         has_values = value is not None
-        if n <= broadcast_limit:
+        if cls.broadcasts(n, broadcast_limit):
             parts = [src] if is_table else list(src.iter_batches(
                 batch_format="pyarrow", batch_size=None))
             parts = [t for t in parts if t.num_rows]

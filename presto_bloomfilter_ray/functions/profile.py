@@ -108,9 +108,11 @@ def skew_report(ds, key_col: str, *, quantiles=(0.5, 0.9, 0.99),
     from .fold import bucket_fold
     from .quantiles import exact_quantile
 
-    counts = bucket_fold(ds.select_columns([key_col]), [key_col],
-                         [(None, "count", "cnt")],
-                         num_buckets=num_buckets).materialize()
+    # the projection rides as ``pre``: a select_columns would hide the
+    # input's free row count, so the fold could not be count-sized
+    counts = bucket_fold(ds, [key_col], [(None, "count", "cnt")],
+                         num_buckets=num_buckets,
+                         pre=lambda b: b.select([key_col])).materialize()
     n_keys = counts.count()
     if n_keys == 0:
         raise ValueError(f"skew_report: no rows under key {key_col!r}")

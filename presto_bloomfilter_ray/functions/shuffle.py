@@ -208,10 +208,12 @@ def curriculum_export(ds, out_dir: str, id_col: str, score_col: str, *,
         return pa.table({"g": pa.array([gid], type=pa.int64()),
                          "rows": pa.array([g.num_rows], type=pa.int64())})
 
+    # one block per (band, shard) piece, not one per _pow2 partition
+    pieces = (n_bands + 1) * n_shards
     stats = partition_map(ds.map_batches(assign, batch_format="pyarrow",
                                          batch_size=None),
-                          write_piece, key="_g",
-                          width=(n_bands + 1) * n_shards).to_pandas()
+                          write_piece, key="_g", width=pieces,
+                          coalesce=pieces).to_pandas()
     manifest = {"n_bands": n_bands, "n_shards": n_shards,
                 "cutoffs": [float(c) for c in cuts],
                 "rows": int(stats["rows"].sum()),

@@ -7,9 +7,12 @@ grouped_sketch are bit-identical whether an input runs as one
 partition or as many. A caller's per-block map passed as ``pre``
 keeps the input's free row count, so prepare_corpus's exchanges are
 count-sized (width 1 on a small input) with the survivors of the
-lazy 64-bucket plan."""
+lazy 64-bucket plan. At width 1, LSH pairing with its verification and
+exact dedup each run as one pass, with the outputs of the wider
+plans."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from presto_bloomfilter_ray.functions import (components, dedup,
@@ -423,3 +426,168 @@ def test_prepare_exchanges_width_one_same_survivors(ray_session, monkeypatch,
     assert ids == lazy_ids and rows == lazy_rows
     # each exchange stage (exact, near, host cap) removes rows
     assert rows[1] > rows[2] > rows[3] > rows[4], rows
+
+
+# --------------------------------------- fused width-1 dedup stages
+
+def _plan_ops(ds):
+    """Names of every logical operator in ``ds``'s plan."""
+    def walk(op):
+        yield type(op).__name__
+        for dep in op.input_dependencies:
+            yield from walk(dep)
+    return list(walk(ds._logical_plan.dag))
+
+
+def test_lsh_width_one_is_one_pass(ray_session, monkeypatch):
+    """At width 1, pairing, screen and estimate are one map over one
+    block of the signature table: one Repartition, no Union, no Sort.
+    Wider, the pairing exchange and both verification co_attaches
+    keep their sorts."""
+    import ray.data as rd
+
+    rows = _corpus()
+    ds = rd.from_items(rows)
+    ops = _plan_ops(dedup.lsh_candidate_pairs(ds, min_est=0.5))
+    assert ops.count("Repartition") == 1, ops
+    assert "Union" not in ops and "Sort" not in ops, ops
+    monkeypatch.setattr(fold, "ROWS_PER_PART", len(rows) * 32 // 3)
+    wide = _plan_ops(dedup.lsh_candidate_pairs(ds, min_est=0.5))
+    assert wide.count("Sort") == 3 and wide.count("Union") == 2, wide
+
+
+def test_minhash_join_width_invariant(ray_session, monkeypatch):
+    import ray.data as rd
+
+    t = pd.DataFrame(_corpus())
+    a_ds = rd.from_pandas(t.iloc[::2])
+    b_ds = rd.from_pandas(t.iloc[1::2])
+    cols = ["a_id", "b_id", "est_jaccard"]
+    narrow, wide = _narrow_and_wide(
+        monkeypatch, dedup, len(t) * 32,
+        lambda: _sorted(dedup.minhash_join(a_ds, b_ds, threshold=0.5)
+                        .to_pandas(), cols))
+    assert len(narrow) > 0
+    assert set(narrow["a_id"]) <= set(t["doc_id"].iloc[::2])
+    pd.testing.assert_frame_equal(narrow, wide)
+
+
+def _keyset_builds(monkeypatch):
+    """Record the ``broadcast_limit`` of every ``KeySet.build``."""
+    from presto_bloomfilter_ray.functions.keyset import KeySet
+
+    limits = []
+    original = KeySet.build.__func__
+
+    def spy(cls, *args, **kwargs):
+        limits.append(kwargs["broadcast_limit"])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KeySet, "build", classmethod(spy))
+    return limits
+
+
+def _exact_inputs():
+    """Text groups whose min id is duplicated (both copies survive),
+    empty and NULL texts (one group each), all duplicates, and empty."""
+    return {
+        "dup_ids": pd.DataFrame({
+            "doc_id": [5, 3, 3, 7, 1, 9, 3, 6, 8, 4, 4, 2],
+            "text": ["a b", "A  b", "a b", "c", "C", "d", "d", "x",
+                     "y", "y", "y", "q\tr"]}),
+        "empty_and_null": pd.DataFrame({
+            "doc_id": [4, 1, 7, 2, 9, 3, 8],
+            "text": ["", None, "", None, "  ", "z", None]}),
+        "all_dups": pd.DataFrame({"doc_id": np.arange(40)[::-1],
+                                  "text": ["same text"] * 40}),
+        "empty": pa.table({"doc_id": pa.array([], pa.int64()),
+                           "text": pa.array([], pa.string())}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_exact_inputs()))
+def test_exact_dedup_single_pass_equals_keyset_plan(ray_session, monkeypatch,
+                                                    case):
+    """The single-pass exact dedup keeps the rows the bucket_fold +
+    KeySet plan keeps (forced by hiding the free count), ties on a
+    duplicated min id included."""
+    import ray.data as rd
+    from ray.data import Dataset
+
+    t = _exact_inputs()[case]
+    if isinstance(t, pd.DataFrame):
+        t = pa.Table.from_pandas(t, preserve_index=False).cast(pa.schema(
+            [("doc_id", pa.int64()), ("text", pa.string())]))
+    half = t.num_rows // 2
+    ds = rd.from_arrow([t.slice(0, half), t.slice(half)])
+    limits = _keyset_builds(monkeypatch)
+
+    def kept():
+        out = dedup.exact_dedup(ds).to_pandas()
+        return sorted(out["doc_id"]) if len(out) else []
+
+    one = kept()
+    assert limits == []  # no keep-map: one pass
+    monkeypatch.setattr(Dataset, "_meta_count", lambda self: None)
+    wide = kept()
+    assert one == wide
+    expected = {"dup_ids": [1, 2, 3, 3, 3, 4, 4, 6],
+                "empty_and_null": [1, 3, 4, 9],
+                "all_dups": [0], "empty": []}[case]
+    assert one == expected
+
+
+def test_exact_dedup_gates_keep_the_keyset_plan(ray_session, monkeypatch,
+                                               tmp_path):
+    """broadcast_limit=0 (the sharded set) and an input above one
+    block's bytes still build the KeySet, with the same survivors."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    t = pd.DataFrame({"doc_id": np.arange(300),
+                      "text": [f"t{i % 40}" for i in range(300)]})
+    ds = rd.from_pandas([t.iloc[:150], t.iloc[150:]])
+    limits = _keyset_builds(monkeypatch)
+    ref = sorted(dedup.exact_dedup(ds).to_pandas()["doc_id"])
+    assert ref == list(range(40)) and limits == []
+    sharded = sorted(dedup.exact_dedup(
+        ds, broadcast_limit=0, work_dir=str(tmp_path)).to_pandas()["doc_id"])
+    assert limits == [0] and sharded == ref
+    limits.clear()
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        1024)
+    small_blocks = sorted(dedup.exact_dedup(ds).to_pandas()["doc_id"])
+    assert limits == [2_000_000] and small_blocks == ref
+
+
+# --------------------------------- projections ride as pre, not a map
+
+def test_skew_report_and_drift_count_sized(ray_session, monkeypatch):
+    """skew_report and categorical_drift project their input inside the
+    fold (``pre``), so a free count sizes the fold to width 1; the
+    results equal the unsized run's."""
+    import ray.data as rd
+    from ray.data import Dataset
+
+    from presto_bloomfilter_ray.functions import categorical_drift, skew_report
+
+    rng = np.random.default_rng(12)
+    n = 4_000
+    t = pd.DataFrame({"k": rng.zipf(1.4, n) % 200, "c": rng.integers(0, 5, n),
+                      "junk": rng.random(n)})
+    a = rd.from_pandas([t.iloc[:2_000], t.iloc[2_000:]])
+    b = rd.from_pandas(t.iloc[::3])
+    widths = _exchange_widths(monkeypatch)
+
+    def run():
+        report, tops = skew_report(a, "k", top_k=5)
+        return report, tops, categorical_drift(a, b, "k", "c")
+
+    free = run()
+    assert widths == [(1, None)] * 3, widths
+    widths.clear()
+    monkeypatch.setattr(Dataset, "_meta_count", lambda self: None)
+    unsized = run()
+    assert widths == [(fold.NUM_BUCKETS, 0), (16, 0), (16, 0)], widths
+    for x, y in zip(free, unsized):
+        pd.testing.assert_frame_equal(x, y)
