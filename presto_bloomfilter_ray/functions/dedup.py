@@ -6,7 +6,7 @@ table. Partitioning contracts (100 TB design notes):
 * **exact**: one all-to-all shuffle keyed by a 64-bit content hash —
   per-key groups are tiny (true duplicates), so skew is bounded by the
   actual duplicate multiplicity. An input that fits one block runs as
-  one pass instead (:func:`exact_dedup`).
+  one pass instead, and keeps its block count (:func:`exact_dedup`).
 * **minhash/simhash**: signatures are computed map-side (vectorized:
   one-permutation MinHash over the flat shingle hashes, a segmented
   ``reduceat`` vote for SimHash); only (band, band_hash, doc_id) candidate
@@ -161,16 +161,20 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
     storage at scale) and removal is a sharded anti-join
     (``co_partition`` picks its plan; see :meth:`~.keyset.KeySet.filter`).
 
-    Single pass: when Ray knows the input's row count and byte size
-    without running it, the count sizes the fold to width 1, a keep-map
-    of that many keys would be broadcast
-    (:meth:`~.keyset.KeySet.broadcasts` under ``broadcast_limit``) and
-    the bytes fit one block (``DataContext.target_max_block_size``),
-    the whole stage is one width-1 :func:`~.fold.partition_map`: hash
-    each block, then over the one block fold the min id per hash and
-    keep rows with the same ``keep_mask`` — one Ray Data execution
-    instead of the fold's and the filter's (PERF §64). Otherwise the
-    plan is the ``bucket_fold`` + :class:`~.keyset.KeySet` one above.
+    Single pass: when Ray knows the input's row count, byte size and
+    block count without running it, the count sizes the fold to width
+    1, a keep-map of that many keys would be broadcast and the bytes fit
+    one block (``DataContext.target_max_block_size``), the whole stage
+    is one width-1 :func:`~.fold.partition_map`: hash each block, then
+    over the one block fold the min id per hash and keep each group's
+    min-id rows — one Ray Data execution instead of the fold's and the
+    filter's (PERF §64). Its one output block is split back into the
+    input's block count, so the stages after it keep the input's
+    parallelism. The broadcast test
+    (:meth:`~.keyset.KeySet.broadcasts`) builds nothing here: it keeps
+    callers that ask for shards (``broadcast_limit=0``, e.g.
+    ``exact_dedup_sharded``) on the sharded plan. Otherwise the plan is
+    the ``bucket_fold`` + :class:`~.keyset.KeySet` one above.
     """
     from ray.data import DataContext
 
@@ -186,7 +190,9 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
     rows = ds._meta_count()
     if rows == 0:
         return ds
-    if (rows is not None and exchange_width(rows, NUM_BUCKETS) == 1
+    blocks = ds._plan.initial_num_blocks()
+    if (rows is not None and blocks is not None
+            and exchange_width(rows, NUM_BUCKETS) == 1
             and KeySet.broadcasts(rows, broadcast_limit)):
         size = ds._logical_plan.dag.infer_metadata().size_bytes
         if (size is not None
@@ -201,13 +207,14 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
                 uniq, inv = np.unique(keys, return_inverse=True)
                 keep_id = np.full(len(uniq), np.iinfo(np.int64).max)
                 np.minimum.at(keep_id, inv, ids)
-                found = np.ones(len(keys), dtype=bool)
-                return b.filter(pa.array(
-                    keep_mask(b, keys, found, keep_id[inv])))
+                return b.filter(pa.array(ids == keep_id[inv]))
 
-            return partition_map(
+            out = partition_map(
                 ds.map_batches(with_key, batch_format="pyarrow"),
                 keep_first, key=_EXACT_KEY, width=1)
+            # split the one block back into the input's block count, so
+            # the stages after this one keep the input's parallelism
+            return out.repartition(blocks) if blocks > 1 else out
 
     def hash_pairs(b: pa.Table) -> pa.Table:
         return pa.table({"content_hash": pa.array(key_of(b)),
@@ -257,9 +264,10 @@ class MinHasher:
     ``num_perm`` independent permutations would give (two 4-shingle
     docs at exact Jaccard 0.6 can estimate 0.85).
 
-    Emits ONE row per doc: (id, sig fixed-list, band_hash fixed-list) —
-    band rows are exploded WITHOUT the signature downstream, so the
-    LSH shuffle carries ~16 bytes per (doc, band), not the signature.
+    Emits ONE row per doc: (int64 id, sig fixed-list, band_hash
+    fixed-list) — band rows are exploded WITHOUT the signature
+    downstream, so the LSH shuffle carries ~16 bytes per (doc, band),
+    not the signature.
     """
 
     _POLY = np.uint64(1099511628211)
@@ -403,7 +411,7 @@ class MinHasher:
         # verification shuffle payload 4× (the sort of sig rows was the
         # superlinear term at 200k docs: 63 s → 21 s end-to-end)
         return pa.table({
-            self.id_col: pa.array(ids),
+            self.id_col: pa.array(ids, pa.int64()),
             "sig": pa.FixedSizeListArray.from_arrays(
                 pa.array((sig & np.uint64(0xFFFF)).astype(np.uint16).reshape(-1)),
                 self.num_perm),
@@ -647,7 +655,7 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
 
     def band_rows(t: pa.Table):
         """(id per band row, band hash per band row) of signature rows."""
-        ids = np.asarray(t.column(id_col)).astype(np.int64)
+        ids = np.asarray(t.column(id_col))
         bh = np.asarray(t.column("band_hash").combine_chunks().flatten())
         return np.repeat(ids, bands), bh
 
@@ -664,12 +672,7 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
             return _estimated(a, b, _sig_rows(sigs, a, num_perm, id_col),
                               _sig_rows(sigs, b, num_perm, id_col), min_est)
 
-        def int64_ids(b: pa.Table) -> pa.Table:  # MinHasher's id comes first
-            return b.set_column(0, id_col, b.column(id_col).cast(pa.int64()))
-
-        return partition_map(
-            sig_ds.map_batches(int64_ids, batch_format="pyarrow"),
-            pair_screen_verify, key=id_col, width=1)
+        return partition_map(sig_ds, pair_screen_verify, key=id_col, width=1)
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, bh = band_rows(batch)

@@ -75,7 +75,8 @@ stages fuse whole chains into that one width-1 call (PERF §64):
 LSH pairing, the band-collision screen and the Jaccard estimate of
 ``dedup.lsh_candidate_pairs`` (three exchanges when wider), and
 ``dedup.exact_dedup``'s hash fold and keep filter when its input's
-free count and byte size fit one block and the broadcast tier.
+free count and byte size fit one block and the broadcast tier (its
+output is split back into the input's block count).
 """
 
 from __future__ import annotations

@@ -560,6 +560,23 @@ def test_exact_dedup_gates_keep_the_keyset_plan(ray_session, monkeypatch,
     assert limits == [2_000_000] and small_blocks == ref
 
 
+def test_exact_dedup_single_pass_keeps_block_count(ray_session, monkeypatch):
+    """The single pass gathers its input into one block and splits the
+    survivors back into the input's block count, so the stages after it
+    run as many tasks as on the KeySet plan's output."""
+    import ray.data as rd
+
+    t = pd.DataFrame({"doc_id": np.arange(300),
+                      "text": [f"t{i % 40}" for i in range(300)]})
+    ds = rd.from_pandas([t.iloc[i * 100:(i + 1) * 100] for i in range(3)])
+    limits = _keyset_builds(monkeypatch)
+    out = dedup.exact_dedup(ds).materialize()
+    assert limits == [] and out.num_blocks() == 3
+    assert sorted(out.to_pandas()["doc_id"]) == list(range(40))
+    one = dedup.exact_dedup(rd.from_pandas(t)).materialize()
+    assert limits == [] and one.num_blocks() == 1
+
+
 # --------------------------------- projections ride as pre, not a map
 
 def test_skew_report_and_drift_count_sized(ray_session, monkeypatch):

@@ -138,7 +138,10 @@ def _names(tree):
 
 def test_shard_machinery_stays_in_keyset():
     """No functions module but keyset.py names the shard internals, and
-    no key-set caller branches on ``broadcast_limit`` itself."""
+    no key-set caller branches on ``broadcast_limit`` itself. A caller
+    that must know the tier asks :meth:`KeySet.broadcasts`, the one
+    permitted tier query (``exact_dedup`` skips building a set it would
+    only broadcast), so the tier rule stays in keyset.py."""
     offenders = []
     for fname in sorted(os.listdir(_FUNCTIONS)):
         if not fname.endswith(".py") or fname == "keyset.py":
