@@ -43,6 +43,11 @@ def _read(sf_dir: str, table: str, columns=None):
     return _rd().read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+#: right-side rows up to which the join queries broadcast (the
+#: package's default tier limit)
+_JOIN_BROADCAST_LIMIT = 2_000_000
+
+
 # --------------------------------------------------------------------- bloom
 def _bloom_semijoin_nation(sf_dir: str):
     """Reference e2e conformance query (run_tests.sh:123): build a Bloom
@@ -587,17 +592,18 @@ def _global_sort_orders(sf_dir: str):
 
 
 def _left_join_order_counts(sf_dir: str):
-    """Native LEFT OUTER hash join (Dataset.join join_type
+    """LEFT OUTER keyed join (functions/fold.py join, how
     'left_outer'): per-customer order counts INCLUDING zero-order
     customers, folded to a histogram of customers per order count."""
     from ray.data.aggregate import Count
 
-    from presto_bloomfilter_ray.engine import hash_join
+    from presto_bloomfilter_ray.functions.fold import join
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderkey"])
-    joined = hash_join(cust, orders, "left_outer", 16,
-                       on=("c_custkey",), right_on=("o_custkey",))
+    joined = join(cust, orders, on="c_custkey", right_on="o_custkey",
+                  how="left_outer", n_parts=16,
+                  broadcast_limit=_JOIN_BROADCAST_LIMIT)
 
     def per_cust(b: pa.Table) -> pa.Table:
         has = pc.is_valid(b.column("o_orderkey")).cast(pa.int64())
@@ -1106,16 +1112,18 @@ def _grouped_quantiles_totalprice(sf_dir: str):
 
 
 def _join_orders_customer_nation(sf_dir: str):
-    """Native distributed hash join (Dataset.join, hash-partitioned on
-    the key) + grouped aggregate — revenue per customer nation."""
+    """Keyed inner join (functions/fold.py join: the customer table
+    broadcast, or both sides co-partitioned on the key) + grouped
+    aggregate — revenue per customer nation."""
     from ray.data.aggregate import Count, Sum
 
-    from presto_bloomfilter_ray.engine import hash_join
+    from presto_bloomfilter_ray.functions.fold import join
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    joined = hash_join(orders, cust, "inner", 16, on=("o_custkey",),
-                       right_on=("c_custkey",)).map_batches(
+    joined = join(orders, cust, on="o_custkey", right_on="c_custkey",
+                  how="inner", n_parts=16,
+                  broadcast_limit=_JOIN_BROADCAST_LIMIT).map_batches(
         _add_cents("o_totalprice"), batch_format="pyarrow")
     agg = joined.groupby("c_nationkey").aggregate(
         Count(alias_name="n_orders"), Sum("_cents", alias_name="_tp")
@@ -1201,11 +1209,11 @@ def _range_join_price_bands(sf_dir: str):
 
 def _q5_revenue_by_nation(sf_dir: str):
     """TPC-H Q5-shaped multi-join: lineitem ⋈ orders ⋈ customer ⋈ nation,
-    revenue per nation name — a chain of native hash joins feeding a
-    grouped aggregate."""
+    revenue per nation name — a chain of keyed joins
+    (functions/fold.py join) feeding a grouped aggregate."""
     from ray.data.aggregate import Sum
 
-    from presto_bloomfilter_ray.engine import hash_join
+    from presto_bloomfilter_ray.functions.fold import join
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -1221,12 +1229,10 @@ def _q5_revenue_by_nation(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     nation = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    j = hash_join(li, orders, "inner", 16, on=("l_orderkey",),
-                  right_on=("o_orderkey",))
-    j = hash_join(j, cust, "inner", 16, on=("o_custkey",),
-                  right_on=("c_custkey",))
-    j = hash_join(j, nation, "inner", 8, on=("c_nationkey",),
-                  right_on=("n_nationkey",))
+    kw = dict(how="inner", n_parts=16, broadcast_limit=_JOIN_BROADCAST_LIMIT)
+    j = join(li, orders, on="l_orderkey", right_on="o_orderkey", **kw)
+    j = join(j, cust, on="o_custkey", right_on="c_custkey", **kw)
+    j = join(j, nation, on="c_nationkey", right_on="n_nationkey", **kw)
     agg = j.groupby("n_name").aggregate(Sum("revenue", alias_name="_r"))
     df = agg.to_pandas()
     df["revenue"] = ((df["_r"] + 50) // 100) / 100.0  # half-up ties, see q1
@@ -3092,7 +3098,9 @@ def _curriculum_export_documents(sf_dir: str):
     try:
         curriculum_export(docs, out, "doc_id", "n_chars",
                           n_bands=4, n_shards=8)
-        head = read_curriculum(out).take(20)
+        # read every file before the rmtree: a take(20) would leave
+        # read tasks in flight on the removed directory
+        head = read_curriculum(out).take_all()[:20]
     finally:
         shutil.rmtree(out, ignore_errors=True)
     return pd.DataFrame({

@@ -13,7 +13,6 @@ from .ops import (
     get_expected_insertions,
     get_false_positive_percentage,
     get_or_load,
-    hash_join,
     semi_join,
     to_base64,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "grouped_sketch",
     "merge_serialized_column",
     "ContainsFilter",
-    "hash_join",
     "semi_join",
     "contains_column",
     "to_base64",

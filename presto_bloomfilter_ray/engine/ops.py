@@ -15,8 +15,8 @@ Rebuilds the reference's scalar functions (SURVEY §2.2) Ray-Data-first:
   :data:`_CACHE`, a per-worker-process LRU of the same size keyed by
   the envelope content hash.
 
-:func:`hash_join` is Ray Data's native hash join with its aggregator
-actors sized to the cluster it runs on.
+Keyed joins are not here: ``functions/fold.py``'s ``join`` is the
+package's one join (a broadcast or co-partitioned polars join).
 """
 
 from __future__ import annotations
@@ -190,47 +190,3 @@ def get_false_positive_percentage(buf: Union[Sketch, bytes]) -> float:
     if isinstance(buf, Sketch):
         buf = buf.serialize()
     return float(read_params(bytes(buf))["p"])
-
-
-def join_aggregators(num_partitions: int, cpus: float, memory: float,
-                     block_bytes: Optional[int]) -> int:
-    """Aggregator actors a native hash join of ``num_partitions`` can
-    get scheduled: at most one per CPU, and no more than fit in
-    ``memory`` bytes. Ray 2.49 asks ``2·P·B/A + 5·B`` of memory per
-    aggregator (P partitions, A aggregators, B the target block size:
-    both sides' shuffled input, the in-memory join and its output), so
-    A of them ask ``2·P·B + 5·A·B`` together (nothing with no target
-    block size). Never below 1."""
-    fit = num_partitions
-    if block_bytes:
-        fit = int((memory - 2 * num_partitions * block_bytes)
-                  // (5 * block_bytes))
-    return max(1, min(num_partitions, int(cpus), fit))
-
-
-def hash_join(left, right, join_type: str, num_partitions: int, *,
-              on: tuple, right_on: Optional[tuple] = None):
-    """``left.join(right, ...)`` with the aggregator count sized from
-    ``ray.cluster_resources()`` by :func:`join_aggregators`.
-
-    Ray's default cap (``DataContext.max_hash_shuffle_aggregators``,
-    64) starts ``num_partitions`` aggregators, whose memory asks can
-    exceed a small cluster's: they never get scheduled and the join
-    waits forever. The sized cap is set on the joined Dataset's own
-    copy of its ``DataContext``, so neither the session's context nor
-    the inputs' change, and the join is materialized: it runs as a plan
-    of its own, whose aggregator pool is the only one asking for
-    memory. (In one lazy plan, a chain of joins asks for every pool at
-    once — three 16-partition joins ask ~10 GiB before the first row
-    moves — and holds each pool to the end.)"""
-    from ray.data import Dataset
-
-    joined = Dataset.copy(
-        left.join(right, join_type, num_partitions, on=on, right_on=right_on),
-        _deep_copy=True)
-    ctx = joined.context
-    res = ray.cluster_resources()
-    ctx.max_hash_shuffle_aggregators = join_aggregators(
-        num_partitions, res.get("CPU", 1), res.get("memory", 0),
-        ctx.target_max_block_size)
-    return joined.materialize()

@@ -19,10 +19,12 @@ PER ROUND with a plain map stage. For edge sets too large even for
 per-batch folding, ``shuffle_rounds=True`` restores the
 ``groupby(node).min`` exchange per round.
 
-Note on ``Dataset.join``: Ray 2.49's hash-join chokes on the empty
-schema-less blocks its own hash aggregate emits for empty partitions
-(map operators pass empty blocks through without calling the UDF), so
-the label lookup is deliberately broadcast + searchsorted instead.
+Note on joins: the label lookup is a broadcast + ``searchsorted``,
+not the package's keyed join (:func:`~.fold.join`), for its own
+reason: each round's labels already sit on the driver as sorted numpy
+arrays (the memory contract above), so one ``ray.put`` of them is the
+whole attach; a keyed join would first turn them back into a Dataset
+and then attach once per edge endpoint.
 
 For graphs whose NODE SET outgrows driver memory entirely (extreme
 near-duplication at 10^10+ docs), :func:`connected_components_ds`
@@ -157,8 +159,9 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
     ``(node, component)``, component = min node id of the component.
 
     Topology per round: each step is one :func:`~.fold.co_attach` of
-    the label table to rows keyed by a node id (``Dataset.join``
-    avoided for the reason in the module docstring):
+    the label table to rows keyed by a node id, each fused with the
+    step's own per-partition work (a :func:`~.fold.join` would need
+    a separate map after it):
 
     1. attach ``label(a)`` to each edge in the ``a & mask`` partition,
        re-key the edge by ``b``;

@@ -35,9 +35,10 @@ Scale shape: one map pass emits distinct ``(gram, doc)`` rows; sizes
 come from a :func:`~.fold.bucket_fold` count; pairs are generated
 inside a gram-hash-bucketed :func:`~.fold.exchange` with a fully vectorized
 run-rank expansion (no per-gram Python), folded by a packed
-``(a, b)`` key, and sizes attach via the tiered broadcast / Dataset
-join pattern. Hot shingles (boilerplate shared by > ``hot_gram_cap``
-docs) would go quadratic; they are dropped LOUDLY (returned in the
+``(a, b)`` key, and sizes attach by two keyed joins
+(:func:`~.fold.join`: the size table broadcast or co-partitioned).
+Hot shingles (boilerplate shared by > ``hot_gram_cap`` docs) would
+go quadratic; they are dropped LOUDLY (returned in the
 stats, never silent) — the same policy as the LSH band cap.
 """
 
@@ -49,7 +50,7 @@ import numpy as np
 import pyarrow as pa
 
 from .decontaminate import _doc_grams
-from .fold import bucket_fold, exchange
+from .fold import bucket_fold, exchange, join
 
 __all__ = ["containment_pairs"]
 
@@ -169,78 +170,38 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         ["key"], [("inter", "sum", "inter")],
                         num_buckets=num_buckets)
 
-    # tiered size attach: broadcast sorted arrays, else Dataset joins
-    n_docs = sizes.count()
-    if n_docs <= broadcast_limit:
-        sdf = sizes.to_pandas()
-        order = np.argsort(sdf["doc"].to_numpy())
-        ref = ray.put((sdf["doc"].to_numpy()[order],
-                       sdf["sz"].to_numpy()[order]))
+    def unpack(b: pa.Table) -> pa.Table:
+        key = np.asarray(b.column("key"), dtype=np.int64)
+        return pa.table({
+            "a": pa.array(key // int(_PACK)),
+            "b": pa.array(key % int(_PACK)),
+            "inter": b.column("inter")})
 
-        def finish(b: pa.Table) -> pa.Table:
-            docs_sorted, szs = ray.get(ref)
-            key = np.asarray(b.column("key"), dtype=np.int64)
-            a = key // int(_PACK)
-            bb = key % int(_PACK)
-            it = np.asarray(b.column("inter"), dtype=np.int64)
-            sa = szs[np.searchsorted(docs_sorted, a)]
-            sb = szs[np.searchsorted(docs_sorted, bb)]
-            ppm = it * 1_000_000 // np.minimum(sa, sb)
-            keep = ppm >= int(tau * 1_000_000)
-            return pa.table({
-                "a": pa.array(a[keep]), "b": pa.array(bb[keep]),
-                "inter": pa.array(it[keep]),
-                "size_a": pa.array(sa[keep].astype(np.int64)),
-                "size_b": pa.array(sb[keep].astype(np.int64)),
-                "cont_ppm": pa.array(ppm[keep]),
-            })
+    def finish(b: pa.Table) -> pa.Table:
+        it = np.asarray(b.column("inter"), dtype=np.int64)
+        sa = np.asarray(b.column("sz"), dtype=np.int64)
+        sb = np.asarray(b.column("sz_r"), dtype=np.int64)
+        ppm = it * 1_000_000 // np.minimum(sa, sb)
+        keep = ppm >= int(tau * 1_000_000)
+        return pa.table({
+            "a": pa.array(np.asarray(b.column("a"), dtype=np.int64)[keep]),
+            "b": pa.array(np.asarray(b.column("b"), dtype=np.int64)[keep]),
+            "inter": pa.array(it[keep]),
+            "size_a": pa.array(sa[keep]), "size_b": pa.array(sb[keep]),
+            "cont_ppm": pa.array(ppm[keep]),
+        })
 
-        out = inter.map_batches(finish, batch_format="pyarrow",
-                                batch_size=None)
-    else:
-        def unpack(b: pa.Table) -> pa.Table:
-            key = np.asarray(b.column("key"), dtype=np.int64)
-            return pa.table({
-                "a": pa.array(key // int(_PACK)),
-                "b": pa.array(key % int(_PACK)),
-                "inter": b.column("inter")})
-
-        unp = inter.map_batches(unpack, batch_format="pyarrow",
-                                batch_size=None)
-        out = unp.join(sizes, "inner", num_partitions,
-                       on=("a",), right_on=("doc",))
-        out = out.map_batches(
-            lambda b: b.append_column(
-                "size_a", b.column("sz")).drop_columns(["sz"]),
-            batch_format="pyarrow")
-        out = out.join(sizes, "inner", num_partitions,
-                       on=("b",), right_on=("doc",))
-
-        def finish_join(b: pa.Table) -> pa.Table:
-            it = np.asarray(b.column("inter"), dtype=np.int64)
-            sa = np.asarray(b.column("size_a"), dtype=np.int64)
-            sb = np.asarray(b.column("sz"), dtype=np.int64)
-            ppm = it * 1_000_000 // np.minimum(sa, sb)
-            keep = ppm >= int(tau * 1_000_000)
-            return pa.table({
-                "a": pa.array(np.asarray(b.column("a"),
-                                         dtype=np.int64)[keep]),
-                "b": pa.array(np.asarray(b.column("b"),
-                                         dtype=np.int64)[keep]),
-                "inter": pa.array(it[keep]),
-                "size_a": pa.array(sa[keep]),
-                "size_b": pa.array(sb[keep]),
-                "cont_ppm": pa.array(ppm[keep]),
-            })
-
-        out = out.map_batches(finish_join, batch_format="pyarrow",
-                              batch_size=None)
-
+    # both doc sizes: sz for a, sz_r for b
+    kw = dict(right_on="doc", how="inner", n_parts=num_partitions,
+              broadcast_limit=broadcast_limit)
+    unp = inter.map_batches(unpack, batch_format="pyarrow", batch_size=None)
+    out = join(join(unp, sizes, on="a", **kw), sizes, on="b", **kw)
+    out = out.map_batches(finish, batch_format="pyarrow", batch_size=None)
     out = out.materialize()  # pair volume is post-threshold tiny; the
     # materialize also lets stats reflect the finished run
     n_cap, cap_rows = ray.get(cap_counter.totals.remote())
     stats = {"capped_grams": n_cap, "capped_rows": cap_rows,
-             "sample_mod": sample_mod, "n_docs": int(n_docs)}
+             "sample_mod": sample_mod, "n_docs": sizes.count()}
     return out, stats
 
 

@@ -35,7 +35,11 @@ partition. Two shapes ride on it:
   and runs a vectorized per-bucket reducer once per partition, never
   once per key; :func:`bucket_fold` is its exact fold;
 * :func:`co_attach` unions a keyed table side and a row side, and a
-  per-partition function attaches one to the other.
+  per-partition function attaches one to the other; :func:`join`, the
+  package's one keyed join (``inner`` / ``left_outer``), is a polars
+  join per ``co_attach`` partition above its broadcast limit and a
+  polars join per left batch against the ``ray.put`` right side at or
+  below it.
 
 Used by:
 
@@ -55,7 +59,12 @@ Used by:
 * ``co_attach``: MinHash signature verification
   (``dedup._verify_pairs``), the MinHash index probe, edit-distance
   verification, dataset connected components, triangle closure and
-  the bucketed as-of join.
+  the bucketed as-of join;
+* ``join``: ``attach_dup_cluster``, ``funnel_counts``,
+  ``pmi_bigrams``, ``containment_pairs``, triangle orientation and
+  k-core peeling, the BM25 index's dl attach, the dataset PageRank
+  and HITS backends, every ``planned_join`` tier, and the TPC-H join
+  queries.
 
 Widths are count-sized by :func:`exchange_width`: every ``exchange``
 whose input row count Ray knows without running it, and LSH and
@@ -88,7 +97,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 __all__ = ["append_bucket", "bucket_fold", "co_attach", "exchange",
-           "exchange_width", "partition_map"]
+           "exchange_width", "join", "partition_map"]
 
 #: default bucket count of every bucketed exchange
 NUM_BUCKETS = 64
@@ -345,6 +354,119 @@ def co_attach(left, right, fn: Callable[[pa.Table, pa.Table], pa.Table],
     return partition_map([left.map_batches(tag_l, batch_format="pyarrow"),
                           right.map_batches(tag_r, batch_format="pyarrow")],
                          split, key=_KEY, width=n_parts)
+
+
+#: private int64 partition key of join's shuffle tier
+_JK = "_join_key"
+
+
+def _join_tables(lt: pa.Table, rt: pa.Table, on: str, right_on: str,
+                 how: str) -> pa.Table:
+    """``lt`` joined to ``rt``: one polars join on the two key columns
+    picks the row pairs in left order, and Arrow ``take`` gathers the
+    columns, so every column keeps its Arrow type. Output: ``lt``'s
+    columns, then ``rt``'s non-key columns (``_r`` on a name ``lt``
+    has). NULL keys never match; ``left_outer`` keeps unmatched left
+    rows with NULL right columns."""
+    import polars as pl
+
+    def keys(t: pa.Table, col: str, index: str):
+        return pl.from_arrow(pa.table({"k": t.column(col)})).with_row_index(
+            index)
+
+    l_ix, r_ix = keys(lt, on, "li"), keys(rt, right_on, "ri")
+    if r_ix.schema["k"] != l_ix.schema["k"]:
+        r_ix = r_ix.with_columns(pl.col("k").cast(l_ix.schema["k"]))
+    ix = l_ix.join(r_ix, left_on="k", right_on="k",
+                   how="inner" if how == "inner" else "left",
+                   maintain_order="left")
+    out = lt.take(ix["li"].to_arrow())
+    ri = ix["ri"].to_arrow()
+    for c in rt.column_names:
+        if c != right_on:
+            out = out.append_column(f"{c}_r" if c in lt.column_names else c,
+                                    rt.column(c).take(ri))
+    # no schema metadata: a parquet read's (a dict) makes Ray's schema
+    # dedup warn at every later block concat
+    return out.replace_schema_metadata()
+
+
+def _collect(ds, key: str) -> pa.Table:
+    """Every row of ``ds`` in one Arrow table (typed even when empty)."""
+    import ray
+
+    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    if parts:
+        return pa.concat_tables(parts, promote_options="default")
+    s = ds.schema()
+    return (pa.schema(list(zip(s.names, s.types))).empty_table() if s
+            else pa.table({key: pa.array([], pa.null())}))
+
+
+def join(left, right, *, on: str, right_on: Optional[str] = None,
+         how: str, n_parts: int, broadcast_limit: int):
+    """Keyed ``inner`` or ``left_outer`` join of two Datasets: ``left``
+    rows with ``on`` equal to ``right``'s ``right_on`` (default ``on``).
+
+    Output columns: ``left``'s, then ``right``'s non-key columns, a
+    name ``left`` has taking an ``_r`` suffix. NULL keys never match;
+    ``left_outer`` keeps unmatched left rows (NULL key ones too) with
+    NULL right columns. Every column keeps its Arrow type.
+
+    The tier is :meth:`KeySet.broadcasts` of ``right``'s row count,
+    counted once ``right`` is materialized:
+
+    * **broadcast**: ``right`` is collected once into one Arrow table
+      and ``ray.put``; every ``left`` batch joins it in one polars
+      join, so ``left`` keeps its blocks and its row order;
+    * **shuffle**: both sides are materialized with a private int64
+      partition key (an integer key itself, any other type its
+      ``hash64``; NULL right keys dropped) and meet in one
+      :func:`co_attach` of :func:`exchange_width` partitions (at most
+      ``n_parts``), joined per partition on the real keys.
+    """
+    import ray
+
+    from ..sketches.hashing import hash64
+    from .keyset import KeySet
+
+    if how not in ("inner", "left_outer"):
+        raise ValueError(f"join how must be 'inner' or 'left_outer', "
+                         f"got {how!r}")
+    right_on = right_on or on
+    # counted materialized: a parquet read's free count (_meta_count)
+    # logs a schema-hash warning per call, and each tier reads it all
+    right = right.materialize()
+    if KeySet.broadcasts(right.count(), broadcast_limit):
+        ref = ray.put(_collect(right, right_on))
+        return left.map_batches(
+            lambda b: _join_tables(b, ray.get(ref), on, right_on, how),
+            batch_format="pyarrow", batch_size=None)
+
+    def keyed(ds, col: str, keep_null: bool):
+        def tag(b: pa.Table) -> pa.Table:
+            if not keep_null:
+                b = b.filter(pc.is_valid(b.column(col)))
+            k = b.column(col)
+            jk = (pc.fill_null(k.cast(pa.int64(), safe=False), 0)
+                  if pa.types.is_integer(k.type)
+                  else pa.array(hash64(k, 0).view(np.int64)))
+            return b.append_column(_JK, jk)
+        return ds.map_batches(tag, batch_format="pyarrow").materialize()
+
+    lt = keyed(left, on, how == "left_outer")
+    rt = keyed(right, right_on, False)
+    l_schema, r_schema = lt.schema(), rt.schema()
+    if l_schema is None:  # no left block at all: nothing to join
+        return lt
+    return co_attach(
+        lt, rt,
+        lambda a, b: _join_tables(a.drop_columns([_JK]),
+                                  b.drop_columns([_JK]), on, right_on, how),
+        left_key=_JK, right_key=_JK,
+        n_parts=exchange_width(lt.count() + rt.count(), n_parts),
+        left_schema=list(zip(l_schema.names, l_schema.types)),
+        right_schema=list(zip(r_schema.names, r_schema.types)))
 
 
 def bucket_fold(ds, keys: Sequence[str],

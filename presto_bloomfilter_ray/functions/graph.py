@@ -38,10 +38,12 @@ Backends (the repo's tiered pattern, e.g. functions/dedup.py removal):
   emitting per-block (dst, partial-sum) rows — the exchange is
   node-sized, never edge-sized.
 * **dataset** (beyond the limit): ranks stay a hash-partitioned
-  Dataset; each iteration is ``ranks ⋈ outdeg`` (node-keyed), an
-  edge-stream join on src, and a node-keyed fold — 100-TB-shaped,
-  at the cost of two node-keyed shuffles per iteration. Skewed in-link
-  hubs (every web graph has them) stay safe because the map side
+  Dataset; each iteration is an edge-stream join on src, a
+  node-keyed fold and a node-keyed attach back onto the ranks, both
+  joins co-partitioned (:func:`~.fold.join` with
+  ``broadcast_limit=0``, so no table visits the driver) —
+  100-TB-shaped, at the cost of three shuffles per iteration. Skewed
+  in-link hubs (every web graph has them) stay safe because the map side
   pre-aggregates each batch's contributions per destination before the
   shuffle.
 
@@ -245,6 +247,8 @@ def _pagerank_dataset(ed, node_wout, iters: int, scale: int,
     int64, personalized teleport set) ships once via ``ray.put``."""
     import ray.data as rd
 
+    from .fold import join
+
     if node_wout.count() == 0:
         return rd.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
@@ -312,14 +316,16 @@ def _pagerank_dataset(ed, node_wout, iters: int, scale: int,
 
         q_ds = ranks.map_batches(payout, batch_format="pyarrow",
                                  batch_size=None)
-        contrib = ed.join(q_ds, "inner", num_partitions, on=("src",))
+        contrib = join(ed, q_ds, on="src", how="inner",
+                       n_parts=num_partitions, broadcast_limit=0)
         inflow = _bucket_fold_sum(
             contrib.map_batches(per_edge, batch_format="pyarrow",
                                 batch_size=None),
             num_partitions).map_batches(
                 lambda b: b.rename_columns(["node", "_in"]),
                 batch_format="pyarrow", batch_size=None)
-        nxt = ranks.join(inflow, "left_outer", num_partitions, on=("node",))
+        nxt = join(ranks, inflow, on="node", how="left_outer",
+                   n_parts=num_partitions, broadcast_limit=0)
 
         def fold(b: pa.Table) -> pa.Table:
             s = np.asarray(pc.fill_null(b.column("_in"), 0), dtype=np.int64)
@@ -504,6 +510,7 @@ def _hits_dataset(ed, node_rows, iters: int, scale: int,
     total (A or H). Per half-pass: one routing join (edges ⋈ scores on
     the lookup endpoint), one bucket fold keyed by the emit endpoint,
     one attach join back onto the score table."""
+    from .fold import join
 
     def seed(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -522,7 +529,8 @@ def _hits_dataset(ed, node_rows, iters: int, scale: int,
 
         q_ds = scores.map_batches(pick, batch_format="pyarrow",
                                   batch_size=None)
-        joined = ed.join(q_ds, "inner", num_partitions, on=(lookup_col,))
+        joined = join(ed, q_ds, on=lookup_col, how="inner",
+                      n_parts=num_partitions, broadcast_limit=0)
 
         def per_edge(b: pa.Table) -> pa.Table:
             emit = np.asarray(b.column(emit_col), dtype=np.int64)
@@ -541,7 +549,8 @@ def _hits_dataset(ed, node_rows, iters: int, scale: int,
                 lambda b: b.rename_columns(["node", "_s"]),
                 batch_format="pyarrow", batch_size=None).materialize()
         denom = max(int(raw.sum("_s") or 0) // scale, 1)
-        nxt = scores.join(raw, "left_outer", num_partitions, on=("node",))
+        nxt = join(scores, raw, on="node", how="left_outer",
+                   n_parts=num_partitions, broadcast_limit=0)
 
         def rescale(b: pa.Table) -> pa.Table:
             s = np.asarray(pc.fill_null(b.column("_s"), 0), dtype=np.int64)
@@ -630,12 +639,12 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
        partition — no broadcast, no driver state beyond the final
        count.
 
-    Degree/orientation attach is tiered like everything else:
-    degrees broadcast via ``ray.put`` when the node table ≤
-    ``broadcast_limit``, else attached by two node-keyed joins.
+    Degrees attach to both endpoints by two node-keyed joins
+    (:func:`~.fold.join`: broadcast when the node table ≤
+    ``broadcast_limit``, co-partitioned above).
     Node ids must fit 2³¹ (packed-pair contract, asserted).
     """
-    from .fold import bucket_fold, co_attach, partition_map
+    from .fold import bucket_fold, co_attach, join, partition_map
 
     def und_rows(b: pa.Table) -> pa.Table:
         s = np.asarray(b.column(src_col), dtype=np.int64)
@@ -668,49 +677,23 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
     if n == 0:
         return 0
 
-    if n <= broadcast_limit:
-        dd = deg.to_pandas()
-        order = np.argsort(dd["node"].to_numpy(dtype=np.int64))
-        nodes = dd["node"].to_numpy(dtype=np.int64)[order]
-        degs = dd["s"].to_numpy(dtype=np.int64)[order]
-        ref = ray.put((nodes, degs))
+    def orient(b: pa.Table) -> pa.Table:
+        a = np.asarray(b.column("a"), dtype=np.int64)
+        c = np.asarray(b.column("b"), dtype=np.int64)
+        da = np.asarray(b.column("s"), dtype=np.int64)
+        dc = np.asarray(b.column("s_r"), dtype=np.int64)
+        # lower (deg, id) first
+        a_first = (da < dc) | ((da == dc) & (a < c))
+        lo = np.where(a_first, a, c)
+        hi = np.where(a_first, c, a)
+        return pa.table({"lo": pa.array(lo), "hi": pa.array(hi)})
 
-        def orient(b: pa.Table) -> pa.Table:
-            nd, dg = ray.get(ref)
-            a = np.asarray(b.column("a"), dtype=np.int64)
-            c = np.asarray(b.column("b"), dtype=np.int64)
-            da = dg[np.searchsorted(nd, a)]
-            dc = dg[np.searchsorted(nd, c)]
-            # lower (deg, id) first
-            a_first = (da < dc) | ((da == dc) & (a < c))
-            lo = np.where(a_first, a, c)
-            hi = np.where(a_first, c, a)
-            return pa.table({"lo": pa.array(lo), "hi": pa.array(hi)})
-
-        oriented = und.map_batches(orient, batch_format="pyarrow",
-                                   batch_size=None)
-    else:
-        dl = deg.map_batches(
-            lambda b: b.rename_columns(["a", "_da"]),
-            batch_format="pyarrow", batch_size=None)
-        dr = deg.map_batches(
-            lambda b: b.rename_columns(["b", "_db"]),
-            batch_format="pyarrow", batch_size=None)
-        j = (und.join(dl, "inner", num_partitions, on=("a",))
-             .join(dr, "inner", num_partitions, on=("b",)))
-
-        def orient_j(b: pa.Table) -> pa.Table:
-            a = np.asarray(b.column("a"), dtype=np.int64)
-            c = np.asarray(b.column("b"), dtype=np.int64)
-            da = np.asarray(b.column("_da"), dtype=np.int64)
-            dc = np.asarray(b.column("_db"), dtype=np.int64)
-            a_first = (da < dc) | ((da == dc) & (a < c))
-            lo = np.where(a_first, a, c)
-            hi = np.where(a_first, c, a)
-            return pa.table({"lo": pa.array(lo), "hi": pa.array(hi)})
-
-        oriented = j.map_batches(orient_j, batch_format="pyarrow",
-                                 batch_size=None)
+    # both endpoint degrees: s for a, s_r for b
+    kw = dict(right_on="node", how="inner", n_parts=num_partitions,
+              broadcast_limit=broadcast_limit)
+    oriented = join(join(und, deg, on="a", **kw), deg, on="b",
+                    **kw).map_batches(orient, batch_format="pyarrow",
+                                      batch_size=None)
 
     # wedge generation: co-partition by lo, emit out-neighbor pairs
     def wedge_group(_part: int, g: pa.Table) -> pa.Table:
@@ -786,18 +769,18 @@ def kcore(edges, k: int, *, src_col: str = "src", dst_col: str = "dst",
     IN-CORE degrees.
 
     Peeling, Ray-Data-first: each round is one degree bucket fold over
-    the surviving edge set plus one map-side filter (survivor set
-    broadcast via ``ray.put`` when ≤ ``broadcast_limit``, else two
-    semi-join passes). All nodes below ``k`` drop TOGETHER each round,
-    so rounds = peeling depth, not node count — but a path graph still
-    peels O(n/2) rounds, hence the loud ``max_rounds`` guard: the SQL
-    mirror (:func:`kcore_sql`) unrolls exactly ``max_rounds`` rounds,
-    and a run that hasn't reached its fixpoint inside the unroll
-    raises instead of silently disagreeing with its oracle (the CC
+    the surviving edge set plus one edge filter (the survivor set
+    joined to both endpoints by :func:`~.fold.join`, broadcast when
+    ≤ ``broadcast_limit``, co-partitioned above). All nodes below
+    ``k`` drop TOGETHER each round, so rounds = peeling depth, not
+    node count — but a path graph still peels O(n/2) rounds, hence
+    the loud ``max_rounds`` guard: the SQL mirror (:func:`kcore_sql`)
+    unrolls exactly ``max_rounds`` rounds, and a run that hasn't
+    reached its fixpoint inside the unroll raises instead of silently disagreeing with its oracle (the CC
     convergence contract). Extra rounds after the fixpoint are the
     identity on both engines, so converging EARLY is always safe.
     """
-    from .fold import bucket_fold
+    from .fold import bucket_fold, join
 
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -846,35 +829,11 @@ def kcore(edges, k: int, *, src_col: str = "src", dst_col: str = "dst",
                 batch_format="pyarrow", batch_size=None)
         n_prev = n_live
 
-        if n_live <= broadcast_limit:
-            keep_nodes = np.sort(
-                live.to_pandas()["node"].to_numpy(dtype=np.int64))
-            kref = ray.put(keep_nodes)
-
-            def filt(b: pa.Table) -> pa.Table:
-                kn = ray.get(kref)
-                a = np.asarray(b.column("a"), dtype=np.int64)
-                c = np.asarray(b.column("b"), dtype=np.int64)
-                ia = np.searchsorted(kn, a)
-                ic = np.searchsorted(kn, c)
-                ia[ia >= len(kn)] = len(kn) - 1
-                ic[ic >= len(kn)] = len(kn) - 1
-                ok = (kn[ia] == a) & (kn[ic] == c) if len(kn) else \
-                    np.zeros(len(a), bool)
-                return b.filter(pa.array(ok))
-
-            ed = ed.map_batches(filt, batch_format="pyarrow",
-                                batch_size=None).materialize()
-        else:
-            lt = live.map_batches(
-                lambda b: pa.table({"a": b.column("node")}),
-                batch_format="pyarrow", batch_size=None)
-            rt = live.map_batches(
-                lambda b: pa.table({"b": b.column("node")}),
-                batch_format="pyarrow", batch_size=None)
-            ed = (ed.join(lt, "inner", num_partitions, on=("a",))
-                  .join(rt, "inner", num_partitions, on=("b",))
-                  .materialize())
+        # keep the edges whose both endpoints live
+        kw = dict(right_on="node", how="inner", n_parts=num_partitions,
+                  broadcast_limit=broadcast_limit)
+        ed = (join(join(ed, live, on="a", **kw), live, on="b", **kw)
+              .select_columns(["a", "b"]).materialize())
     raise RuntimeError(
         f"kcore(k={k}) did not reach its fixpoint in {max_rounds} "
         "peeling rounds; raise max_rounds (the SQL mirror unrolls the "

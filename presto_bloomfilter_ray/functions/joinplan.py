@@ -22,7 +22,10 @@ standard partial → merge-tree path, one scan each):
   exact — extra rows simply find no partner).
 * **shuffle** — both sides big and mostly-overlapping: prefiltering
   would scan twice to remove nothing; go straight to the
-  hash-partitioned ``Dataset.join``.
+  co-partitioned join.
+
+Every tier runs :func:`~.fold.join` (its broadcast or its shuffle
+tier).
 
 ``sketch_join_plan`` returns the decision WITH its evidence (counts,
 distinct estimates, intersection estimate, predicted survival
@@ -36,8 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-import pyarrow as pa
+from .keyset import KeySet
 
 __all__ = ["sketch_join_plan", "planned_join"]
 
@@ -105,7 +107,7 @@ def sketch_join_plan(left, lkey: str, right, rkey: str, *,
     est_shuffle = float(bytes_l + bytes_r)
     est_prefilter = (n_blocks * filter_bytes
                      + surv_l * bytes_l + surv_r * bytes_r)
-    if min(n_l, n_r) <= broadcast_limit:
+    if KeySet.broadcasts(min(n_l, n_r), broadcast_limit):
         strategy = "broadcast"
     elif (max(surv_l, surv_r) <= prefilter_below
           and est_prefilter < 0.8 * est_shuffle):
@@ -126,30 +128,6 @@ def sketch_join_plan(left, lkey: str, right, rkey: str, *,
     }
 
 
-def _broadcast_join(big, big_key: str, small, small_key: str,
-                    small_rows: int):
-    """Map-side hash join: the small side ships once via ``ray.put``
-    and every big-side batch joins against it with one vectorized
-    polars inner join. Column collisions keep the big side's values
-    (callers project before joining, like any join)."""
-    import polars as pl
-    import ray
-
-    sdf = small.to_pandas()
-    ref = ray.put(pa.Table.from_pandas(sdf, preserve_index=False))
-
-    def join_batch(b: pa.Table) -> pa.Table:
-        st = ray.get(ref)
-        lb = pl.from_arrow(b)
-        rb = pl.from_arrow(st)
-        out = lb.join(rb, left_on=big_key, right_on=small_key,
-                      how="inner", suffix="_r")
-        return out.to_arrow()
-
-    return big.map_batches(join_batch, batch_format="pyarrow",
-                           batch_size=None)
-
-
 def planned_join(left, lkey: str, right, rkey: str, *,
                  broadcast_limit: int = 1_000_000,
                  prefilter_below: float = 0.5,
@@ -161,26 +139,37 @@ def planned_join(left, lkey: str, right, rkey: str, *,
     ``plan`` may be passed in (e.g. reused across runs of the same
     snapshot); otherwise :func:`sketch_join_plan` computes it. All
     strategies return identical rows — the plan only changes HOW data
-    moves. Joined columns: left columns + right columns (right key
-    column deduplicated away by the join)."""
-    import ray.data  # noqa: F401  (Dataset.join availability)
-
+    moves. Joined columns are :func:`~.fold.join`'s: the shipped
+    (smaller) side's non-key columns follow the other side's on the
+    broadcast tiers, and the right's follow the left's on the shuffle
+    tiers."""
     from ..engine.agg import build_sketch
     from ..engine.ops import semi_join
     from ..sketches.bloom import BloomFilter
+    from .fold import join
 
     if plan is None:
         plan = sketch_join_plan(left, lkey, right, rkey,
                                 broadcast_limit=broadcast_limit,
                                 prefilter_below=prefilter_below,
                                 theta_k=theta_k)
+
+    def shuffle(l_ds, r_ds):
+        return join(l_ds, r_ds, on=lkey, right_on=rkey, how="inner",
+                    n_parts=num_partitions, broadcast_limit=0)
+
+    def broadcast(l_ds, n_l, r_ds, n_r):
+        # fold.join ships its right side: put the smaller one there
+        if n_r <= n_l:
+            return join(l_ds, r_ds, on=lkey, right_on=rkey, how="inner",
+                        n_parts=num_partitions,
+                        broadcast_limit=broadcast_limit)
+        return join(r_ds, l_ds, on=rkey, right_on=lkey, how="inner",
+                    n_parts=num_partitions, broadcast_limit=broadcast_limit)
+
     strategy = plan["strategy"]
     if strategy == "broadcast":
-        if plan["n_right"] <= plan["n_left"]:
-            out = _broadcast_join(left, lkey, right, rkey, plan["n_right"])
-        else:
-            out = _broadcast_join(right, rkey, left, lkey, plan["n_left"])
-        return out, plan
+        return broadcast(left, plan["n_left"], right, plan["n_right"]), plan
 
     if strategy == "bloom_prefilter":
         # prefilter FPP is deliberately loose (1e-2 default): a false
@@ -201,21 +190,10 @@ def planned_join(left, lkey: str, right, rkey: str, *,
         n_lk, n_rk = left_kept.count(), right_kept.count()
         plan = dict(plan, survivors_left=int(n_lk),
                     survivors_right=int(n_rk))
-        if min(n_lk, n_rk) <= broadcast_limit:
+        if KeySet.broadcasts(min(n_lk, n_rk), broadcast_limit):
             plan["finish"] = "broadcast"
-            if n_rk <= n_lk:
-                out = _broadcast_join(left_kept, lkey, right_kept, rkey,
-                                      n_rk)
-            else:
-                out = _broadcast_join(right_kept, rkey, left_kept, lkey,
-                                      n_lk)
-            return out, plan
+            return broadcast(left_kept, n_lk, right_kept, n_rk), plan
         plan["finish"] = "shuffle"
-        out = left_kept.join(right_kept, "inner", num_partitions,
-                             on=(lkey,), right_on=(rkey,),
-                             right_suffix="_r")
-        return out, plan
+        return shuffle(left_kept, right_kept), plan
 
-    out = left.join(right, "inner", num_partitions,
-                    on=(lkey,), right_on=(rkey,), right_suffix="_r")
-    return out, plan
+    return shuffle(left, right), plan

@@ -218,16 +218,13 @@ def attach_dup_cluster(ds, id_col: str = "doc_id", text_col: str = "text",
        :func:`~presto_bloomfilter_ray.functions.fold.bucket_fold` —
        map-side pre-fold, bucket-keyed exchange, never a per-group
        reduce;
-    2. attach: at or below ``broadcast_limit`` distinct groups the
-       sorted (hash, rep) arrays ship once via ``ray.put`` and every
-       batch resolves its rep with one ``searchsorted`` (the
-       line-dedup broadcast pattern); above it, a hash-partitioned
-       Dataset join on the group hash (no driver state).
+    2. attach: one :func:`~presto_bloomfilter_ray.functions.fold.join`
+       on the group hash — the winner table broadcast at or below
+       ``broadcast_limit`` distinct groups, co-partitioned above it
+       (no driver state).
     """
-    import ray
-
     from .dedup import normalize_text
-    from .fold import bucket_fold
+    from .fold import bucket_fold, join
     from ..sketches.hashing import hash64
 
     _GH_SEED = 0xC1_05_7E12
@@ -243,24 +240,8 @@ def attach_dup_cluster(ds, id_col: str = "doc_id", text_col: str = "text",
         [(id_col, "min", out_col)], num_buckets=num_buckets,
     ).materialize()
 
-    if winners.count() <= broadcast_limit:
-        wdf = winners.to_pandas()
-        order = np.argsort(wdf["_gh"].to_numpy())
-        ref = ray.put((wdf["_gh"].to_numpy()[order],
-                       wdf[out_col].to_numpy()[order]))
-
-        def attach(b: pa.Table) -> pa.Table:
-            gh_sorted, reps = ray.get(ref)
-            h = np.asarray(b.column("_gh"))
-            i = np.searchsorted(gh_sorted, h)
-            return b.append_column(out_col, pa.array(reps[i]))
-
-        return with_gh.map_batches(attach, batch_format="pyarrow",
-                                   batch_size=None)
-
-    joined = with_gh.join(winners, "inner", num_partitions,
-                          on=("_gh",), right_on=("_gh",))
-    return joined
+    return join(with_gh, winners, on="_gh", how="inner",
+                n_parts=num_partitions, broadcast_limit=broadcast_limit)
 
 
 def cluster_split(ds, bands, id_col: str = "doc_id",

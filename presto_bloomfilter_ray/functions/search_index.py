@@ -49,7 +49,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .fold import partition_map
+from .fold import bucket_fold, join, partition_map
 from .search import _terms_of
 from .text import TOKEN_RE
 
@@ -304,27 +304,12 @@ def bm25_index_search(root: str, query: Union[str, Sequence[str]], *,
     avgdl = meta["sum_dl"] / N  # same expression as bm25_search
     idf = np.log((N - df + 0.5) / (df + 0.5) + 1.0)
 
-    # tiered dl attach (the dedup-removal pattern): broadcast the
-    # doc-stats table below the limit, key-partitioned join above it
-    doc_paths = _valid_chunk_paths(os.path.join(root, "docs"), gen)
-    if meta["n_docs"] <= dl_broadcast_limit:
-        import pyarrow.parquet as pq
-
-        dt = pa.concat_tables([pq.read_table(p) for p in doc_paths])
-        ids = np.asarray(dt.column("doc"))
-        order = np.argsort(ids)
-        ids_sorted = ids[order]
-        dls_sorted = np.asarray(dt.column("dl"))[order]
-
-        def attach_dl(batch: pa.Table) -> pa.Table:
-            i = np.searchsorted(ids_sorted, np.asarray(batch.column("doc")))
-            return batch.append_column("dl", pa.array(dls_sorted[i]))
-
-        joined = post.map_batches(attach_dl, batch_format="pyarrow")
-    else:
-        docs = rd.read_parquet(doc_paths)
-        joined = post.join(docs, "inner", num_partitions,
-                           on=("doc",), right_on=("doc",))
+    # dl attach: the doc-stats table broadcast up to the limit,
+    # co-partitioned above it
+    docs = rd.read_parquet(
+        _valid_chunk_paths(os.path.join(root, "docs"), gen))
+    joined = join(post, docs, on="doc", how="inner", n_parts=num_partitions,
+                  broadcast_limit=dl_broadcast_limit)
 
     def contrib_cols(batch: pa.Table) -> pa.Table:
         dl = np.asarray(batch.column("dl"), dtype=np.float64)
@@ -337,8 +322,6 @@ def bm25_index_search(root: str, query: Union[str, Sequence[str]], *,
             cols[f"c_{i}"] = pa.array(np.where(q == i, c, 0.0),
                                       type=pa.float64())
         return pa.table(cols)
-
-    from .fold import bucket_fold
 
     per_doc = bucket_fold(
         joined.map_batches(contrib_cols, batch_format="pyarrow"),

@@ -14,6 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches.hashing import hash64
+from .fold import join
 from .keyset import KeySet
 
 TOKEN_RE = r"\S+"  # whitespace tokenization — SQL-mirrorable (regexp_extract_all)
@@ -581,10 +582,10 @@ def pmi_bigrams(ds, text_col: str = "text", top_k: int = 20,
     combiner pattern — the exchange carries per-batch distinct grams,
     never token occurrences); one ``groupby`` finalizes counts;
     unigram counts attach to the (min_count-pruned) bigram table by
-    the tiered dedup-removal pattern — vectorized broadcast lookup
-    below ``broadcast_limit`` vocabulary rows, two key-partitioned
-    ``Dataset.join``s above it; scoring is a map stage with a local
-    top-k. The PMI
+    two keyed joins on the words
+    (:func:`~presto_bloomfilter_ray.functions.fold.join`: the
+    vocabulary broadcast up to ``broadcast_limit`` rows, co-partitioned
+    above); scoring is a map stage with a local top-k. The PMI
     expression is evaluated in one fixed operation order shared with
     the SQL mirror.
     """
@@ -616,50 +617,29 @@ def pmi_bigrams(ds, text_col: str = "text", top_k: int = 20,
               .groupby(["kind", "w1", "w2"])
               .aggregate(Sum("n", alias_name="n"))
               .materialize())
-    uni = counts.filter(expr="kind == 'u'").select_columns(["w1", "n"])
+    # vocabulary (w, c): read for T and attached to both bigram words
+    vocab = (counts.filter(expr="kind == 'u'")
+             .map_batches(lambda b: pa.table({"w": b.column("w1"),
+                                              "c": b.column("n")}),
+                          batch_format="pyarrow")
+             .materialize())
     bi = counts.filter(expr="kind == 'b'").select_columns(["w1", "w2", "n"])
-    T = float(uni.sum("n") or 0)
+    T = float(vocab.sum("c") or 0)
     B = float(bi.sum("n") or 0)
     if not T or not B:
         import pandas as pd
         return pd.DataFrame({"w1": [], "w2": [], "c12": [], "pmi": []})
     bi = bi.filter(expr=f"n >= {int(min_count)}")
-    # tiered unigram attach (the dedup-removal pattern): broadcast the
-    # vocabulary below the limit, key-partitioned joins above it
-    n_vocab = uni.count()
-    if n_vocab <= broadcast_limit:
-        vt = pa.concat_tables(
-            [pa.table(b) for b in
-             uni.iter_batches(batch_format="pyarrow", batch_size=None)])
-        vocab_words = vt.column("w1").combine_chunks()
-        vocab_counts = np.asarray(vt.column("n"), dtype=np.int64)
-
-        def attach(batch: pa.Table) -> pa.Table:
-            i1 = np.asarray(pc.index_in(batch.column("w1"),
-                                        value_set=vocab_words).cast(
-                pa.int64()))
-            i2 = np.asarray(pc.index_in(batch.column("w2"),
-                                        value_set=vocab_words).cast(
-                pa.int64()))
-            return (batch
-                    .append_column("c1", pa.array(vocab_counts[i1]))
-                    .append_column("c2", pa.array(vocab_counts[i2])))
-
-        j = bi.map_batches(attach, batch_format="pyarrow")
-    else:
-        u1 = uni.map_batches(lambda b: b.rename_columns(["u1", "c1"]),
-                             batch_format="pyarrow")
-        u2 = uni.map_batches(lambda b: b.rename_columns(["u2", "c2"]),
-                             batch_format="pyarrow")
-        j = (bi.join(u1, "inner", num_partitions,
-                     on=("w1",), right_on=("u1",))
-             .join(u2, "inner", num_partitions,
-                   on=("w2",), right_on=("u2",)))
+    # c = count(w1), c_r = count(w2)
+    kw = dict(how="inner", n_parts=num_partitions,
+              broadcast_limit=broadcast_limit)
+    j = join(join(bi, vocab, on="w1", right_on="w", **kw), vocab,
+             on="w2", right_on="w", **kw)
 
     def score_topk(batch: pa.Table) -> pa.Table:
         c12 = np.asarray(batch.column("n"), dtype=np.float64)
-        c1 = np.asarray(batch.column("c1"), dtype=np.float64)
-        c2 = np.asarray(batch.column("c2"), dtype=np.float64)
+        c1 = np.asarray(batch.column("c"), dtype=np.float64)
+        c2 = np.asarray(batch.column("c_r"), dtype=np.float64)
         # the oracle's operation order
         pmi = np.round(np.log((c12 / B) / ((c1 / T) * (c2 / T))),
                        round_digits)

@@ -23,8 +23,9 @@ from typing import List, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .fold import exchange
+from .fold import exchange, join
 
 _US = 1_000_000
 
@@ -212,11 +213,12 @@ def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
     then stage 3 at-or-after that first qualifying stage-2 event, …
 
     Fully distributed — no per-key Python: pass ``i`` filters to stage
-    ``i``'s events, hash-joins them against the previous stage's
-    first-reach table (``Dataset.join``, key-partitioned), keeps
-    events at-or-after the previous first-reach time, and min-folds
-    per key. Each pass's state table is one (key, first_ts) row per
-    surviving key; the event set never re-shuffles as a whole. k
+    ``i``'s events, joins them against the previous stage's
+    first-reach table (:func:`~presto_bloomfilter_ray.functions.fold.join`:
+    broadcast up to ``broadcast_limit`` keys, co-partitioned above),
+    keeps events at-or-after the previous first-reach time, and
+    min-folds per key. Each pass's state table is one (key, first_ts)
+    row per surviving key; the event set never re-shuffles as a whole. k
     stages = k cheap passes — the standard funnel shape at log scale.
 
     ``max_delay_s`` bounds each step (an ATTRIBUTION WINDOW): stage
@@ -236,48 +238,28 @@ def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
         })
 
     ev = ds.map_batches(to_us, batch_format="pyarrow")
+    lim = None if max_delay_s is None else int(max_delay_s * _US)
+
+    def of_stage(stage: str):
+        return lambda b: b.filter(pc.equal(b.column("_s"), stage))
+
+    def after_first(b: pa.Table) -> pa.Table:
+        ts = np.asarray(b.column("_ts"))
+        first = np.asarray(b.column("_first"))
+        keep = ts >= first
+        if lim is not None:
+            keep &= ts <= first + lim
+        return b.filter(pa.array(keep))
+
     prev = None
     rows = []
     for i, stage in enumerate(stages):
-        evs = ev.filter(expr=f"_s == '{stage}'")
-        if i == 0:
-            cand = evs
-        elif prev_n <= broadcast_limit:
-            # tiered attach: the first-reach table is small — broadcast
-            # it and filter in a pure map stage (also sidesteps Ray's
-            # empty-join-partition edge on tiny states)
-            pt = pa.concat_tables(
-                [pa.table(b) for b in prev.iter_batches(
-                    batch_format="pyarrow", batch_size=None)])
-            key_set = pt.column("_pk").combine_chunks()
-            first_arr = np.asarray(pt.column("_first"))
-
-            def flt(b: pa.Table, _ks=key_set, _fa=first_arr) -> pa.Table:
-                import pyarrow.compute as _pc
-
-                idx = _pc.index_in(b.column("_k"), value_set=_ks)
-                hit = np.asarray(_pc.is_valid(idx))
-                pos = np.asarray(_pc.fill_null(idx, 0).cast(pa.int64()))
-                ts = np.asarray(b.column("_ts"))
-                keep = hit & (ts >= _fa[pos])
-                if max_delay_s is not None:
-                    keep &= ts <= _fa[pos] + int(max_delay_s * _US)
-                return b.filter(pa.array(keep))
-
-            cand = evs.map_batches(flt, batch_format="pyarrow")
-        else:
-            joined = evs.join(prev, "inner", num_partitions,
-                              on=("_k",), right_on=("_pk",))
-            cand = joined.filter(expr="_ts >= _first")
-            if max_delay_s is not None:
-                lim = int(max_delay_s * _US)
-
-                def in_window(b: pa.Table, _lim=lim) -> pa.Table:
-                    ts = np.asarray(b.column("_ts"))
-                    fi = np.asarray(b.column("_first"))
-                    return b.filter(pa.array(ts <= fi + _lim))
-
-                cand = cand.map_batches(in_window, batch_format="pyarrow")
+        cand = ev.map_batches(of_stage(stage), batch_format="pyarrow")
+        if i:
+            cand = join(cand, prev, on="_k", how="inner",
+                        n_parts=num_partitions,
+                        broadcast_limit=broadcast_limit).map_batches(
+                after_first, batch_format="pyarrow")
         # materialize the (small) first-reach table: it is consumed
         # twice (count + next stage's join) and each stage would
         # otherwise replay the whole upstream chain — O(k²) recompute
@@ -290,10 +272,7 @@ def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
             rows += [{"stage": s, "stage_idx": j + i + 2, "n_keys": 0}
                      for j, s in enumerate(stages[i + 1:])]
             break
-        prev = reached.map_batches(
-            lambda b: b.rename_columns(["_pk", "_first"]),
-            batch_format="pyarrow")
-        prev_n = n
+        prev = reached
     return pd.DataFrame(rows, columns=["stage", "stage_idx", "n_keys"])
 
 

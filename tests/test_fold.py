@@ -542,3 +542,179 @@ def test_co_partition_exchange_stays_in_fold():
     with open(os.path.join(_FUNCTIONS, "fold.py")) as f:
         owners = [o for o, _ in _map_groups_calls(ast.parse(f.read()))]
     assert owners == ["partition_map"], owners
+
+
+# ------------------------------------------------------------- fold.join
+#: Dataset.join's join types
+_JOIN_TYPES = {"inner", "left_outer", "right_outer", "full_outer",
+               "left_semi", "right_semi", "left_anti", "right_anti"}
+_REPO = os.path.dirname(os.path.dirname(_FUNCTIONS))
+
+
+def _join_calls(tree):
+    """(line, what) of every keyed join that bypasses ``fold.join``: a
+    ``Dataset.join`` call (a ``.join(`` whose second positional
+    argument is a join-type string, or which passes ``join_type=`` or
+    ``on=``; ``fold.join(...)`` aside) and any use of the name
+    ``hash_join``."""
+    out = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias,
+                                                    ast.FunctionDef))
+                else node.value if isinstance(node, ast.Constant)
+                else None)
+        if name == "hash_join":
+            out.append((node.lineno if hasattr(node, "lineno") else 0,
+                        "hash_join"))
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"):
+            continue
+        base = node.func.value
+        if isinstance(base, ast.Name) and base.id == "fold":
+            continue
+        args, kws = node.args, {k.arg for k in node.keywords}
+        if ((len(args) > 1 and isinstance(args[1], ast.Constant)
+             and args[1].value in _JOIN_TYPES)
+                or kws & {"join_type", "on"}):
+            out.append((node.lineno, "Dataset.join"))
+    return out
+
+
+def _join_offenders(root):
+    paths = [os.path.join(d, f)
+             for d, _, fs in os.walk(os.path.join(root,
+                                                  "presto_bloomfilter_ray"))
+             for f in fs if f.endswith(".py")]
+    offenders = []
+    for path in sorted(paths) + [os.path.join(root, "__ray_entry__.py")]:
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        offenders += [f"{os.path.relpath(path, root)}:{line} {what}"
+                      for line, what in _join_calls(tree)]
+    return offenders
+
+
+def test_keyed_joins_go_through_fold_join():
+    """Neither the package nor the driver queries call Ray's native
+    ``Dataset.join`` or name ``hash_join``: ``fold.join`` is the one
+    keyed join."""
+    offenders = _join_offenders(_REPO)
+    assert not offenders, offenders
+
+
+def test_join_guard_flags_native_joins():
+    src = '''
+ds.join(r, "inner", 4, on=("k",))
+ds.join(r, join_type="left_outer", num_partitions=2)
+ds.join(r, "left_outer", 8)
+from presto_bloomfilter_ray.engine import hash_join
+hash_join(a, b, "inner", 16, on=("k",))
+", ".join(names)
+os.path.join(a, b)
+frame.join(other, left_on="k", right_on="k", how="left")
+fold.join(a, b, on="k", how="inner", n_parts=4, broadcast_limit=0)
+join(a, b, on="k", how="inner", n_parts=4, broadcast_limit=0)
+'''
+    assert [line for line, _ in _join_calls(ast.parse(src))] == [
+        2, 3, 4, 5, 6]
+
+
+_INT_L = pa.table({
+    "k": pa.array([None, -5, -(2**62), 2**62, 0, 7, 7, 3, None, 11],
+                  pa.int64()),
+    "v": pa.array(range(10), pa.int64()),
+    "s": pa.array([f"l{i}" for i in range(10)]),
+})
+_INT_R = pa.table({
+    "rk": pa.array([7, 7, None, -(2**62), 2**62, 3, 99, -5, None, 2**62],
+                   pa.int64()),
+    "v": pa.array(range(100, 110), pa.int64()),
+    "w": pa.array([None, "a", "b", "c", "d", "e", "f", "g", "h", "i"]),
+})
+_STR_L = pa.table({"w": pa.array(["x", "y", None, "x", "z", "", "q"]),
+                   "n": pa.array(range(7), pa.int64())})
+_STR_R = pa.table({"w": pa.array(["x", "x", None, "z", "", "m"]),
+                   "n": pa.array(range(50, 56), pa.int32())})
+
+#: case → (left, right, on, right_on)
+_JOIN_CASES = {
+    "int": (_INT_L, _INT_R, "k", "rk"),
+    "str": (_STR_L, _STR_R, "w", None),
+    "empty_left": (_INT_L.slice(0, 0), _INT_R, "k", "rk"),
+    "empty_right": (_INT_L, _INT_R.slice(0, 0), "k", "rk"),
+    "null_right_keys": (_INT_L, _INT_R.filter(pc.is_null(_INT_R["rk"])),
+                        "k", "rk"),
+}
+
+
+def _join_oracle(left, right, on, right_on, how):
+    """DuckDB's join of the two tables, in fold.join's column layout."""
+    import duckdb
+
+    right_on = right_on or on
+    cols = [f'R."{c}" AS "{c}_r"' if c in left.column_names
+            else f'R."{c}"' for c in right.column_names if c != right_on]
+    con = duckdb.connect()
+    con.register("L", left)
+    con.register("R", right)
+    kind = "JOIN" if how == "inner" else "LEFT JOIN"
+    return con.execute(
+        f'SELECT L.*, {", ".join(cols)} FROM L {kind} R '
+        f'ON L."{on}" = R."{right_on}"').arrow().to_pylist()
+
+
+def _blocks(t, n):
+    return rd.from_arrow(t).repartition(n) if t.num_rows else rd.from_arrow(t)
+
+
+def _rows_sorted(rows):
+    return sorted(rows, key=lambda r: [(v is None, v if v is not None
+                                        else 0) for v in r.values()])
+
+
+@pytest.mark.parametrize("case", sorted(_JOIN_CASES))
+@pytest.mark.parametrize("tier", ["broadcast", "shuffle_1", "shuffle_8"])
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+def test_join_equals_duckdb(ray_session, monkeypatch, case, tier, how):
+    import ray
+
+    left, right, on, right_on = _JOIN_CASES[case]
+    if tier == "shuffle_8":  # a count-sized width of 8 partitions
+        monkeypatch.setattr(fold, "ROWS_PER_PART", 2)
+    # an empty table keeps its schema only unrepartitioned (Ray drops
+    # the schema of an empty repartition)
+    out = fold.join(_blocks(left, 2), _blocks(right, 3), on=on,
+                    right_on=right_on, how=how, n_parts=8,
+                    broadcast_limit=10**6 if tier == "broadcast" else 0)
+    tables = [t for t in ray.get(out.to_arrow_refs()) if t.num_columns]
+    got = [r for t in tables for r in t.to_pylist()]
+    assert _rows_sorted(got) == _rows_sorted(
+        _join_oracle(left, right, on, right_on, how))
+    right_on = right_on or on
+    want = pa.schema(list(left.schema) + [
+        f.with_name(f"{f.name}_r" if f.name in left.column_names
+                    else f.name)
+        for f in right.schema if f.name != right_on])
+    for t in tables:
+        assert t.schema == want, (t.schema, want)
+
+
+def test_join_broadcast_keeps_left_blocks_and_order(ray_session):
+    import ray
+
+    left = rd.from_arrow(_INT_L).repartition(3).materialize()
+    out = fold.join(left, rd.from_arrow(_INT_R), on="k", right_on="rk",
+                    how="left_outer", n_parts=8, broadcast_limit=10**6)
+    tables = ray.get(out.to_arrow_refs())
+    assert len(tables) == left.num_blocks()
+    got = [r["v"] for t in tables for r in t.to_pylist()]
+    assert got == sorted(got)  # left order, duplicates adjacent
+
+
+def test_join_rejects_other_how(ray_session):
+    with pytest.raises(ValueError, match="inner"):
+        fold.join(rd.from_arrow(_INT_L), rd.from_arrow(_INT_R), on="k",
+                  right_on="rk", how="semi", n_parts=4, broadcast_limit=0)

@@ -666,3 +666,46 @@ def test_asof_join_vectorized_value_types(ray_session):
     orders = rd.from_arrow(pa.table({"x": pa.array([5.0, 15.0, 99.0])}))
     rj = range_join(orders, bands, on="x", value_cols=["band"]).to_pandas()
     assert rj["band"].tolist() == ["low", "high", None]
+
+
+def test_funnel_quoted_stage_names_match_sql(ray_session):
+    """Stage names are compared as values, never spliced into a filter
+    expression: names with quotes match the DuckDB oracle on the
+    broadcast and the co-partitioned tier."""
+    import duckdb
+    import ray.data as rd
+
+    from presto_bloomfilter_ray.functions import funnel_counts
+
+    rng = np.random.default_rng(11)
+    n = 400
+    stages = ["it's", "c", 'o\'neil\'s "p"']
+    df = pd.DataFrame({
+        "user_id": rng.integers(0, 60, size=n),
+        "event_type": rng.choice(stages + ["other"], size=n),
+        "ts": pd.to_datetime(rng.integers(0, 40, size=n) * 3_600_000_000,
+                             unit="us"),
+    })
+    con = duckdb.connect()
+    con.register("events", df)
+    ref = con.execute("""
+        WITH s1 AS (SELECT user_id, min(ts) AS t FROM events
+                    WHERE event_type = ? GROUP BY user_id),
+             s2 AS (SELECT e.user_id, min(e.ts) AS t
+                    FROM events e JOIN s1 USING (user_id)
+                    WHERE e.event_type = ? AND e.ts >= s1.t
+                    GROUP BY e.user_id),
+             s3 AS (SELECT e.user_id, min(e.ts) AS t
+                    FROM events e JOIN s2 USING (user_id)
+                    WHERE e.event_type = ? AND e.ts >= s2.t
+                    GROUP BY e.user_id)
+        SELECT (SELECT count(*) FROM s1), (SELECT count(*) FROM s2),
+               (SELECT count(*) FROM s3)
+    """, stages).fetchone()
+    assert min(ref) > 0
+    for limit in (2_000_000, 0):
+        out = funnel_counts(rd.from_pandas(df), "ts", "user_id",
+                            "event_type", stages, num_partitions=2,
+                            broadcast_limit=limit)
+        assert out["stage"].tolist() == stages
+        assert out["n_keys"].tolist() == list(ref), limit
