@@ -739,20 +739,14 @@ def _event_transition_counts(sf_dir: str):
     return agg
 
 
-def _pagerank_browse_graph(sf_dir: str):
-    """PageRank over the browse graph: each user's consecutive events
-    define page→page edges (pages = the JSON ``k`` prop), then 3 power
-    iterations of the integer recurrence (functions/graph.py pagerank —
-    broadcast tier here; the dataset tier is equality-tested against it
-    in tests/test_graph.py). The oracle is GENERATED from the same
-    constants by pagerank_sql_mirror, so ranks match bit-for-bit."""
-    from presto_bloomfilter_ray.functions import (
-        pagerank,
-        transition_counts,
-    )
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+def _browse_edges(sf_dir: str):
+    """The page browse graph shared by the graph queries: each user's
+    consecutive events (by ``ts``, then ``event_id``) give one
+    ``from_state`` → ``to_state`` page edge (pages = the JSON ``k``
+    prop), weighted by its count ``n`` (functions/windows.py
+    transition_counts)."""
+    from presto_bloomfilter_ray.functions import transition_counts
+    from presto_bloomfilter_ray.functions.jsonops import json_extract_fields
 
     ev = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "props"])
@@ -761,10 +755,21 @@ def _pagerank_browse_graph(sf_dir: str):
         return json_extract_fields(
             b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
 
-    edges = transition_counts(
+    return transition_counts(
         ev.map_batches(extract, batch_format="pyarrow"),
         "ts", "user_id", "page", order_cols=["event_id"])
-    return pagerank(edges, iters=3, src_col="from_state",
+
+
+def _pagerank_browse_graph(sf_dir: str):
+    """PageRank over the browse graph: each user's consecutive events
+    define page→page edges (pages = the JSON ``k`` prop), then 3 power
+    iterations of the integer recurrence (functions/graph.py pagerank —
+    broadcast tier here; the dataset tier is equality-tested against it
+    in tests/test_graph.py). The oracle is GENERATED from the same
+    constants by pagerank_sql_mirror, so ranks match bit-for-bit."""
+    from presto_bloomfilter_ray.functions import pagerank
+
+    return pagerank(_browse_edges(sf_dir), iters=3, src_col="from_state",
                     dst_col="to_state", weight_col="n")
 
 
@@ -788,25 +793,9 @@ def _pagerank_personalized_pages(sf_dir: str):
     primitive for crawl-frontier / topic-conditioned quality. Same
     browse-graph edges as `pagerank_browse_graph`; oracle GENERATED
     with the identical seed set by pagerank_sql_mirror(seeds=...)."""
-    from presto_bloomfilter_ray.functions import (
-        pagerank,
-        transition_counts,
-    )
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+    from presto_bloomfilter_ray.functions import pagerank
 
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "props"])
-
-    def extract(b: pa.Table) -> pa.Table:
-        return json_extract_fields(
-            b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
-
-    edges = transition_counts(
-        ev.map_batches(extract, batch_format="pyarrow"),
-        "ts", "user_id", "page", order_cols=["event_id"])
-    return pagerank(edges, iters=3, src_col="from_state",
+    return pagerank(_browse_edges(sf_dir), iters=3, src_col="from_state",
                     dst_col="to_state", weight_col="n", seeds=_PPR_SEEDS)
 
 
@@ -817,25 +806,10 @@ def _triangle_count_pages(sf_dir: str):
     the count is a pure integer, nothing to mirror)."""
     import pandas as pd
 
-    from presto_bloomfilter_ray.functions import (
-        transition_counts,
-        triangle_count,
-    )
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+    from presto_bloomfilter_ray.functions import triangle_count
 
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "props"])
-
-    def extract(b: pa.Table) -> pa.Table:
-        return json_extract_fields(
-            b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
-
-    edges = transition_counts(
-        ev.map_batches(extract, batch_format="pyarrow"),
-        "ts", "user_id", "page", order_cols=["event_id"])
-    n = triangle_count(edges, src_col="from_state", dst_col="to_state")
+    n = triangle_count(_browse_edges(sf_dir), src_col="from_state",
+                       dst_col="to_state")
     return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
 
@@ -844,22 +818,10 @@ def _kcore_pages(sf_dir: str):
     kcore — peeling via bucket folds + tiered survivor filters; oracle
     GENERATED with the same 8-round unroll by kcore_sql, CTEs
     MATERIALIZED so DuckDB doesn't exponentially inline the chain)."""
-    from presto_bloomfilter_ray.functions import kcore, transition_counts
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+    from presto_bloomfilter_ray.functions import kcore
 
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "props"])
-
-    def extract(b: pa.Table) -> pa.Table:
-        return json_extract_fields(
-            b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
-
-    edges = transition_counts(
-        ev.map_batches(extract, batch_format="pyarrow"),
-        "ts", "user_id", "page", order_cols=["event_id"])
-    return kcore(edges, 3, src_col="from_state", dst_col="to_state")
+    return kcore(_browse_edges(sf_dir), 3, src_col="from_state",
+                 dst_col="to_state")
 
 
 def _hits_browse_graph(sf_dir: str):
@@ -869,22 +831,9 @@ def _hits_browse_graph(sf_dir: str):
     (functions/graph.py hits; broadcast tier here, dataset tier
     equality-tested in tests/test_graph.py). Oracle GENERATED from the
     same constants by hits_sql_mirror: bit-exact."""
-    from presto_bloomfilter_ray.functions import hits, transition_counts
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+    from presto_bloomfilter_ray.functions import hits
 
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "props"])
-
-    def extract(b: pa.Table) -> pa.Table:
-        return json_extract_fields(
-            b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
-
-    edges = transition_counts(
-        ev.map_batches(extract, batch_format="pyarrow"),
-        "ts", "user_id", "page", order_cols=["event_id"])
-    return hits(edges, iters=3, src_col="from_state",
+    return hits(_browse_edges(sf_dir), iters=3, src_col="from_state",
                 dst_col="to_state", weight_col="n")
 
 
@@ -895,25 +844,9 @@ def _bfs_hops_pages(sf_dir: str):
     bucket fold so the exchange is new-frontier-sized, never
     edge-sized). Oracle GENERATED with the same 4-round unroll by
     bfs_sql (chained MATERIALIZED CTEs, the kcore_sql discipline)."""
-    from presto_bloomfilter_ray.functions import (
-        bfs_distances,
-        transition_counts,
-    )
-    from presto_bloomfilter_ray.functions.jsonops import (
-        json_extract_fields,
-    )
+    from presto_bloomfilter_ray.functions import bfs_distances
 
-    ev = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "props"])
-
-    def extract(b: pa.Table) -> pa.Table:
-        return json_extract_fields(
-            b, "props", {"page": ("$.k", "int64")}).drop_columns(["props"])
-
-    edges = transition_counts(
-        ev.map_batches(extract, batch_format="pyarrow"),
-        "ts", "user_id", "page", order_cols=["event_id"])
-    return bfs_distances(edges, _PPR_SEEDS, max_hops=4,
+    return bfs_distances(_browse_edges(sf_dir), _PPR_SEEDS, max_hops=4,
                          src_col="from_state", dst_col="to_state")
 
 

@@ -1,6 +1,5 @@
 from .agg import (
     SketchAgg,
-    SketchPartialBuilder,
     build_sketch,
     grouped_sketch,
     merge_serialized_column,
@@ -23,7 +22,6 @@ __all__ = [
     "HttpStore",
     "SketchHTTPService",
     "SketchAgg",
-    "SketchPartialBuilder",
     "salted_grouped_sketch",
     "build_sketch",
     "grouped_sketch",

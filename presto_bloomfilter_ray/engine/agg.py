@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import AggregateFnV2
 from ray.data.block import BlockAccessor
 
-from ..sketches.base import Sketch, deserialize
+from ..sketches.base import Sketch, deserialize, merge_envelopes
 
 SketchFactory = Callable[[], Sketch]
 
@@ -115,34 +115,16 @@ def _partial_fn(factory: SketchFactory, col: str):
     return make_partial
 
 
-class SketchPartialBuilder:
-    """Actor-pool stage emitting one serialized partial per batch.
+def _merge_fn(col: str = "sketch"):
+    """Map stage of the merge trees: one ``sketch`` envelope out per
+    batch of ``col`` envelopes in (none for an empty batch)."""
 
-    Use via ``ds.map_batches(SketchPartialBuilder,
-    fn_constructor_args=(factory, col), concurrency=N)`` when per-actor
-    setup should be amortized (factory closures carrying large config,
-    e.g. pre-loaded tokenizers feeding the element column). For plain
-    sketches the stateless ``build_sketch`` path is equivalent.
-    """
+    def merge_batch(batch: pa.Table) -> pa.Table:
+        acc = merge_envelopes(batch.column(col).to_pylist())
+        blobs = [] if acc is None else [acc.serialize()]
+        return pa.table({"sketch": pa.array(blobs, type=pa.large_binary())})
 
-    def __init__(self, factory: SketchFactory, col: str):
-        self.factory = factory
-        self.col = col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sk = self.factory().update_arrow(batch.column(self.col))
-        return pa.table({"sketch": pa.array([sk.serialize()], type=pa.large_binary())})
-
-
-def _merge_block_fn():
-    def merge_block(batch: pa.Table) -> pa.Table:
-        blobs = batch.column("sketch").to_pylist()
-        acc = deserialize(blobs[0])
-        for b in blobs[1:]:
-            acc.merge(deserialize(b))
-        return pa.table({"sketch": pa.array([acc.serialize()], type=pa.large_binary())})
-
-    return merge_block
+    return merge_batch
 
 
 def _merge_tree(partials, fan_in: int, merge_rounds: Optional[int]):
@@ -162,13 +144,13 @@ def _merge_tree(partials, fan_in: int, merge_rounds: Optional[int]):
     if merge_rounds is not None:
         for _ in range(max(0, merge_rounds)):
             partials = partials.map_batches(
-                _merge_block_fn(), batch_format="pyarrow", batch_size=fan_in)
+                _merge_fn(), batch_format="pyarrow", batch_size=fan_in)
         return partials
     partials = partials.materialize()
     n = partials.count()
     while n > fan_in:
         partials = partials.map_batches(
-            _merge_block_fn(), batch_format="pyarrow", batch_size=fan_in
+            _merge_fn(), batch_format="pyarrow", batch_size=fan_in
         ).materialize()
         n = partials.count()
     return partials
@@ -181,7 +163,6 @@ def build_sketch(
     batch_size: Optional[int] = None,
     fan_in: int = 32,
     merge_rounds: Optional[int] = None,
-    concurrency: Optional[int] = None,
 ) -> Sketch:
     """Global sketch over a Dataset column, scale path.
 
@@ -195,23 +176,12 @@ def build_sketch(
     pipeline (SURVEY §3.1) with a bounded-depth tree instead of a
     single reducer.
     """
-    if concurrency is not None:
-        partials = ds.map_batches(
-            SketchPartialBuilder, fn_constructor_args=(factory, col),
-            batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
-        )
-    else:
-        partials = ds.map_batches(
-            _partial_fn(factory, col), batch_format="pyarrow", batch_size=batch_size
-        )
+    partials = ds.map_batches(
+        _partial_fn(factory, col), batch_format="pyarrow", batch_size=batch_size
+    )
     partials = _merge_tree(partials, fan_in, merge_rounds)
-    blobs = [r["sketch"] for r in partials.take_all()]
-    if not blobs:
-        return factory()
-    acc = deserialize(blobs[0])
-    for b in blobs[1:]:
-        acc.merge(deserialize(b))
-    return acc
+    acc = merge_envelopes(r["sketch"] for r in partials.take_all())
+    return factory() if acc is None else acc
 
 
 def _merge_key_runs(key: str, finalize: Callable[[Sketch], Any],
@@ -229,12 +199,8 @@ def _merge_key_runs(key: str, finalize: Callable[[Sketch], Any],
         sc = codes[order]
         starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
         blobs = g.column("partial").to_pylist()
-        out = []
-        for lo, hi in zip(starts, np.r_[starts[1:], len(sc)]):
-            acc = deserialize(blobs[order[lo]])
-            for i in order[lo + 1:hi]:
-                acc.merge(deserialize(blobs[i]))
-            out.append(finalize(acc))
+        out = [finalize(merge_envelopes(blobs[i] for i in order[lo:hi]))
+               for lo, hi in zip(starts, np.r_[starts[1:], len(sc)])]
         keys = karr.take(pa.array(order[starts]))
         try:
             vals = pa.array(out)
@@ -366,21 +332,7 @@ def merge_serialized_column(ds, col: str = "sketch", fan_in: int = 32,
     the final fold, by construction.
     """
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        blobs = batch.column(col).to_pylist()
-        if not blobs:
-            return pa.table({"sketch": pa.array([], type=pa.large_binary())})
-        acc = deserialize(blobs[0])
-        for b in blobs[1:]:
-            acc.merge(deserialize(b))
-        return pa.table({"sketch": pa.array([acc.serialize()],
-                                            type=pa.large_binary())})
-
     partials = ds.select_columns([col]).map_batches(
-        merge_batch, batch_format="pyarrow")
+        _merge_fn(col), batch_format="pyarrow")
     partials = _merge_tree(partials, fan_in, merge_rounds)
-    acc: Optional[Sketch] = None
-    for row in partials.take_all():
-        sk = deserialize(row["sketch"])
-        acc = sk if acc is None else acc.merge(sk)
-    return acc
+    return merge_envelopes(r["sketch"] for r in partials.take_all())

@@ -2,10 +2,13 @@
 
 Rebuilds the reference's scalar functions (SURVEY §2.2) Ray-Data-first:
 
-* ``bloom_filter_contains`` → :class:`ContainsFilter`, a stateful
-  ``map_batches`` stage that deserializes the broadcast sketch ONCE per
-  actor (``__init__``) and probes vectorized per Arrow batch — the
-  canonical Ray broadcast-small-side semi-join (SURVEY §3.2).
+* ``bloom_filter_contains`` → :class:`ContainsFilter`, the one probe:
+  a stateless ``map_batches`` callable over a ``ray.put`` envelope,
+  resolved per worker process through :func:`get_or_load` and probed
+  vectorized per Arrow batch — the canonical Ray broadcast-small-side
+  semi-join (SURVEY §3.2). ``semi_join``, ``contains_column``,
+  ``functions.urls.host_filter`` and ``pipelines.probe_and_write`` all
+  run it.
 * ``to_string`` / ``from_string`` → :func:`to_base64` / :func:`from_base64`.
 * ``get_expected_insertions`` / ``get_false_positive_percentage`` →
   :func:`get_expected_insertions` / :func:`get_false_positive_percentage`
@@ -60,17 +63,24 @@ def get_or_load(buf: bytes, *, mutable: bool = False) -> Sketch:
     return sk
 
 
-def _resolve(sketch: Union[Sketch, bytes, "ray.ObjectRef"]) -> Sketch:
-    if isinstance(sketch, ray.ObjectRef):
-        sketch = ray.get(sketch)
+def _broadcast(sketch) -> "ray.ObjectRef":
+    """``ray.put`` the envelope once; every task reads it from the local
+    object store (ships once per node, not per batch)."""
+    if isinstance(sketch, Sketch):
+        return ray.put(sketch.serialize())
     if isinstance(sketch, (bytes, bytearray)):
-        return get_or_load(bytes(sketch))
-    return sketch
+        return ray.put(bytes(sketch))
+    return sketch  # already an ObjectRef
 
 
 class ContainsFilter:
-    """Actor-pool ``map_batches`` stage: keep / drop / annotate rows by
-    Bloom membership of ``col``.
+    """The one Bloom probe: a stateless ``map_batches`` callable that
+    keeps / drops / annotates rows by membership of ``col``.
+
+    ``sketch`` (a Sketch, envelope bytes or a ``ray.put`` ObjectRef) is
+    put in the object store once; each call resolves it through
+    :func:`get_or_load`, so a worker process deserializes it once
+    however many batches it probes (reference cache, S6).
 
     ``mode``:
       * ``"semi"``  — keep rows whose element might be in the filter
@@ -95,13 +105,14 @@ class ContainsFilter:
     ):
         if mode not in ("semi", "anti", "column"):
             raise ValueError(f"bad mode {mode}")
-        self.sketch = _resolve(sketch)  # once per actor, not per batch
+        self.ref = _broadcast(sketch)
         self.col = col
         self.mode = mode
         self.out_col = out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = self.sketch.contains_many(batch.column(self.col))
+        sk = get_or_load(ray.get(self.ref))
+        mask = sk.contains_many(batch.column(self.col))
         if self.mode == "semi":
             return batch.filter(pa.array(mask))
         if self.mode == "anti":
@@ -109,58 +120,27 @@ class ContainsFilter:
         return batch.append_column(self.out_col, pa.array(mask))
 
 
-def _broadcast(sketch) -> "ray.ObjectRef":
-    """``ray.put`` the envelope once; every task reads it from the local
-    object store (ships once per node, not per batch)."""
-    if isinstance(sketch, Sketch):
-        return ray.put(sketch.serialize())
-    if isinstance(sketch, (bytes, bytearray)):
-        return ray.put(bytes(sketch))
-    return sketch  # already an ObjectRef
-
-
-def _probe_stage(ds, ref, col: str, mode: str, out_col: str,
-                 concurrency, batch_size: Optional[int]):
+def _probe_stage(ds, probe: ContainsFilter, batch_size: Optional[int]):
     kwargs = {"batch_format": "pyarrow"}
     if batch_size is not None:
         kwargs["batch_size"] = batch_size
-    if concurrency is not None:
-        # explicit actor pool: sketch deserialized once per actor
-        return ds.map_batches(
-            ContainsFilter, fn_constructor_args=(ref, col, mode, out_col),
-            concurrency=concurrency, **kwargs,
-        )
-
-    # default: stateless tasks + per-worker-process memo (get_or_load) —
-    # elastic scheduling, deserialization amortized across the batches a
-    # worker processes (reference cache S6 semantics)
-    def probe(batch: pa.Table) -> pa.Table:
-        sk = get_or_load(ray.get(ref))
-        mask = sk.contains_many(batch.column(col))
-        if mode == "semi":
-            return batch.filter(pa.array(mask))
-        if mode == "anti":
-            return batch.filter(pa.array(~mask))
-        return batch.append_column(out_col, pa.array(mask))
-
     return ds.map_batches(probe, **kwargs)
 
 
-def semi_join(ds, col: str, sketch, *, anti: bool = False, concurrency=None,
+def semi_join(ds, col: str, sketch, *, anti: bool = False,
               batch_size: Optional[int] = None):
     """Broadcast Bloom semi/anti join — the reference's whole raison
     d'être (``README.md:6-38``, ``run_tests.sh:123``). ``sketch`` may be
     a Sketch, envelope bytes, or a ``ray.put`` ObjectRef."""
-    ref = _broadcast(sketch)
-    return _probe_stage(ds, ref, col, "anti" if anti else "semi", "contains",
-                        concurrency, batch_size)
+    return _probe_stage(
+        ds, ContainsFilter(sketch, col, "anti" if anti else "semi"), batch_size)
 
 
 def contains_column(ds, col: str, sketch, out_col: str = "contains",
-                    concurrency=None, batch_size: Optional[int] = None):
+                    batch_size: Optional[int] = None):
     """Append ``bloom_filter_contains(bf, col)`` as a boolean column."""
-    ref = _broadcast(sketch)
-    return _probe_stage(ds, ref, col, "column", out_col, concurrency, batch_size)
+    return _probe_stage(ds, ContainsFilter(sketch, col, "column", out_col),
+                        batch_size)
 
 
 # ---------------------------------------------------------------- scalars

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 import pyarrow.fs as pafs
 
-from ..sketches.base import Sketch, deserialize
+from ..sketches.base import Sketch, deserialize, merge_envelopes
 
 
 class _StoreSugar:
@@ -58,11 +58,7 @@ class _StoreSugar:
         """Reference ``bloom_filter_load`` aggregation shape: load a
         sequence of persisted sketches and union them
         (``BloomFilterLoad.java:30-39``)."""
-        acc: Optional[Sketch] = None
-        for k in keys:
-            sk = self.load(k)
-            acc = sk if acc is None else acc.merge(sk)
-        return acc
+        return merge_envelopes(self.get(k) for k in keys)
 
 
 class SketchStore(_StoreSugar):

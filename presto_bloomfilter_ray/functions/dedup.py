@@ -245,7 +245,8 @@ def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
 
 # ----------------------------------------------------------------- MinHash
 class MinHasher:
-    """Actor-pool stage: MinHash signatures + LSH band keys per doc.
+    """Stateless ``map_batches`` callable: MinHash signatures + LSH band
+    keys per doc (:meth:`sign` runs it over a Dataset).
 
     Fully vectorized, no per-shingle Python: the batch's texts are
     normalized and viewed as ONE flat byte array; char-``shingle_k``-gram
@@ -285,9 +286,14 @@ class MinHasher:
         self.text_col = text_col
         self.id_col = id_col
         # the signature of a doc with no shingle (fixed: identical in
-        # every actor, so empty docs match each other)
+        # every worker, so empty docs match each other)
         self._empty = self._splitmix(
             np.arange(num_perm, dtype=np.uint64) ^ np.uint64(0xE3E3))
+
+    def sign(self, ds):
+        """``ds`` → its signature Dataset, materialized (spillable): one
+        stateless ``map_batches`` of this instance."""
+        return ds.map_batches(self, batch_format="pyarrow").materialize()
 
     @staticmethod
     def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -601,9 +607,8 @@ def _min_bands_screen(bands: int, num_perm: int, min_est: float,
 
 def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
                         shingle_k: int = 5, text_col: str = "text",
-                        id_col: str = "doc_id", concurrency: Optional[int] = None,
-                        pair_cutoff: int = 64, n_parts: int = 64,
-                        min_est: float = 0.0):
+                        id_col: str = "doc_id", pair_cutoff: int = 64,
+                        n_parts: int = 64, min_est: float = 0.0):
     """documents → signatures (one materialized pass) → (band_hash, id)
     explode → coarse-partitioned vectorized pairing → distributed
     signature verification. Returns a **Dataset** (a, b, est_jaccard) —
@@ -626,17 +631,7 @@ def lsh_candidate_pairs(ds, num_perm: int = 128, bands: int = 32,
     :func:`_verify_pairs`' two; both plans share the kernels, the
     screen and the estimate, so the edges are the same.
     """
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-        sig_ds = ds.map_batches(
-            MinHasher, fn_constructor_kwargs=dict(
-                num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-                text_col=text_col, id_col=id_col), **kwargs)
-    else:
-        mh = MinHasher(num_perm, bands, shingle_k, text_col, id_col)
-        sig_ds = ds.map_batches(mh, **kwargs)
-    sig_ds = sig_ds.materialize()
+    sig_ds = MinHasher(num_perm, bands, shingle_k, text_col, id_col).sign(ds)
     # size the exchange from the band-row count (PERF §15, §57): each
     # sort partition carries fixed task latency, so a small corpus runs
     # one partition; the caller's n_parts stays the upper bound

@@ -26,8 +26,8 @@ invisible; rerun :func:`repair_index` then retry it.
 
 Scale shape of :func:`minhash_index_probe` (the hot path):
 
-* signatures of the increment: one vectorized actor pass
-  (:class:`~.dedup.MinHasher`), materialized as a spillable Dataset;
+* signatures of the increment: one vectorized stateless pass
+  (:meth:`~.dedup.MinHasher.sign`), materialized as a spillable Dataset;
 * band join: increment band rows ``(new_id, band_hash)`` — ~16 B each —
   are co-partitioned with the index's band shards; each partition does
   one sorted ``searchsorted`` probe against its (worker-LRU-cached)
@@ -182,20 +182,6 @@ def _load_part(index_dir: str, kind: str, part: int, gen: int,
 
 # --------------------------------------------------------------- build
 
-def _sig_dataset(ds, num_perm, bands, shingle_k, text_col, id_col,
-                 concurrency):
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-        sig_ds = ds.map_batches(MinHasher, fn_constructor_kwargs=dict(
-            num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-            text_col=text_col, id_col=id_col), **kwargs)
-    else:
-        sig_ds = ds.map_batches(
-            MinHasher(num_perm, bands, shingle_k, text_col, id_col), **kwargs)
-    return sig_ds.materialize()
-
-
 def _ingest(sig_ds, index_dir: str, m: Dict, gen: int) -> int:
     """Write one generation of band + sig chunks from a signature
     Dataset. Shared by build and append."""
@@ -230,7 +216,6 @@ def minhash_index_build(ds, index_dir: str, *, num_perm: int = 128,
                         text_col: str = "text", id_col: str = "doc_id",
                         band_shards: Optional[int] = None,
                         sig_shards: Optional[int] = None,
-                        concurrency: Optional[int] = None,
                         expected_docs: int = 1_000_000) -> Dict:
     """Build a fresh index over ``ds`` (ids must be unique int64 across
     the index's lifetime). Shard counts default from ``expected_docs``
@@ -249,23 +234,21 @@ def minhash_index_build(ds, index_dir: str, *, num_perm: int = 128,
         "sig_shards": _pow2(sig_shards or _n_shards_for(expected_docs)),
         "n_docs": 0, "gen": 0,
     }
-    sig_ds = _sig_dataset(ds, num_perm, bands, shingle_k, text_col,
-                          id_col, concurrency)
+    sig_ds = MinHasher(num_perm, bands, shingle_k, text_col, id_col).sign(ds)
     m["n_docs"] = _ingest(sig_ds, index_dir, m, gen=1)
     m["gen"] = 1
     _write_manifest(index_dir, m)
     return m
 
 
-def minhash_index_append(ds, index_dir: str, *,
-                         concurrency: Optional[int] = None) -> Dict:
+def minhash_index_append(ds, index_dir: str) -> Dict:
     """Add ``ds``'s docs to an existing index (params come from the
     manifest). One chunk write per touched shard; the manifest's
     generation bump is the commit point. Single writer at a time."""
     m = _read_manifest(index_dir)
     gen = m["gen"] + 1
-    sig_ds = _sig_dataset(ds, m["num_perm"], m["bands"], m["shingle_k"],
-                          m["text_col"], m["id_col"], concurrency)
+    sig_ds = MinHasher(m["num_perm"], m["bands"], m["shingle_k"],
+                       m["text_col"], m["id_col"]).sign(ds)
     n = _ingest(sig_ds, index_dir, m, gen=gen)
     m["n_docs"] += n
     m["gen"] = gen
@@ -277,8 +260,7 @@ def minhash_index_append(ds, index_dir: str, *,
 
 def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
                         max_per_band: int = 64,
-                        n_parts: int = 64,
-                        concurrency: Optional[int] = None):
+                        n_parts: int = 64):
     """→ Dataset ``(doc_id, match_id, est_jaccard)``: for each doc of
     ``new_ds``, the indexed docs whose estimated Jaccard ≥ threshold.
     Probing docs already in the index yields their self-match (filter
@@ -296,8 +278,8 @@ def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.8,
     bshards, sshards = m["band_shards"], m["sig_shards"]
     fsl = _sig_type(num_perm)
 
-    new_sig = _sig_dataset(new_ds, num_perm, bands, m["shingle_k"],
-                           m["text_col"], id_col, concurrency)
+    new_sig = MinHasher(num_perm, bands, m["shingle_k"], m["text_col"],
+                        id_col).sign(new_ds)
     n_parts = exchange_width(new_sig.count() * bands, n_parts)
 
     def explode(b: pa.Table) -> pa.Table:

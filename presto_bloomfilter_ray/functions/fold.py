@@ -391,16 +391,16 @@ def _join_tables(lt: pa.Table, rt: pa.Table, on: str, right_on: str,
     return out.replace_schema_metadata()
 
 
-def _collect(ds, key: str) -> pa.Table:
-    """Every row of ``ds`` in one Arrow table (typed even when empty)."""
+def _collect(ds) -> pa.Table:
+    """Every row of ``ds`` in one Arrow table (typed even when empty;
+    ``ds`` must have a schema then)."""
     import ray
 
     parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
     if parts:
         return pa.concat_tables(parts, promote_options="default")
     s = ds.schema()
-    return (pa.schema(list(zip(s.names, s.types))).empty_table() if s
-            else pa.table({key: pa.array([], pa.null())}))
+    return pa.schema(list(zip(s.names, s.types))).empty_table()
 
 
 def join(left, right, *, on: str, right_on: Optional[str] = None,
@@ -411,7 +411,8 @@ def join(left, right, *, on: str, right_on: Optional[str] = None,
     Output columns: ``left``'s, then ``right``'s non-key columns, a
     name ``left`` has taking an ``_r`` suffix. NULL keys never match;
     ``left_outer`` keeps unmatched left rows (NULL key ones too) with
-    NULL right columns. Every column keeps its Arrow type.
+    NULL right columns. Every column keeps its Arrow type. An empty
+    ``right`` without a schema raises ``ValueError``.
 
     The tier is :meth:`KeySet.broadcasts` of ``right``'s row count,
     counted once ``right`` is materialized:
@@ -437,8 +438,15 @@ def join(left, right, *, on: str, right_on: Optional[str] = None,
     # counted materialized: a parquet read's free count (_meta_count)
     # logs a schema-hash warning per call, and each tier reads it all
     right = right.materialize()
-    if KeySet.broadcasts(right.count(), broadcast_limit):
-        ref = ray.put(_collect(right, right_on))
+    n_right = right.count()
+    if n_right == 0 and right.schema() is None:
+        # the right's columns are unknowable: a join would silently
+        # return the left's columns only
+        raise ValueError(
+            "join: the right side is empty and Ray lost its schema (e.g. "
+            "an empty table repartitioned); give it a typed block")
+    if KeySet.broadcasts(n_right, broadcast_limit):
+        ref = ray.put(_collect(right))
         return left.map_batches(
             lambda b: _join_tables(b, ray.get(ref), on, right_on, how),
             batch_format="pyarrow", batch_size=None)

@@ -12,7 +12,7 @@ materializes anywhere bigger than one node-sized table, and the whole
 recurrence is defined in int64 arithmetic so a SQL oracle reproduces it
 bit-for-bit (the repo's scaled-int exactness pattern).
 
-Integer PageRank recurrence (shared verbatim by both backends and by
+Integer PageRank recurrence (shared verbatim by both tiers and by
 :func:`pagerank_sql_mirror`, all ``//`` floor divisions on int64):
 
 * ``N`` = number of distinct nodes (sources ∪ destinations);
@@ -29,7 +29,9 @@ The floors leak a few units of mass per iteration (bounded by
 order-independent, engine-independent fixpoint. Ranks are reported in
 ``scale``-ths ("rank_micro").
 
-Backends (the repo's tiered pattern, e.g. functions/dedup.py removal):
+Tiers (the repo's tiered pattern, e.g. functions/dedup.py removal),
+picked by the node count against ``broadcast_limit`` (``0`` forces the
+dataset tier):
 
 * **broadcast** (node table ≤ ``broadcast_limit``): out-degrees and the
   rank vector live in driver numpy arrays (like ``kmeans_fit``'s
@@ -158,16 +160,16 @@ def _normalize_edges(edges, src_col: str, dst_col: str,
 def pagerank(edges, *, iters: int = 3, scale: int = DEFAULT_SCALE,
              src_col: str = "src", dst_col: str = "dst",
              weight_col: Optional[str] = None,
-             seeds=None,
-             backend: str = "auto", broadcast_limit: int = 2_000_000,
+             seeds=None, broadcast_limit: int = 2_000_000,
              num_partitions: int = 16):
     """PageRank over an edge Dataset → Dataset of (node, rank_micro).
 
     ``edges``: Ray Dataset with integer ``src_col`` / ``dst_col`` and an
     optional int ``weight_col`` (parallel-edge multiplicity). ``iters``
     power iterations of the integer recurrence in the module docstring.
-    ``backend``: "broadcast" (driver-resident rank vector), "dataset"
-    (rank vector stays distributed), or "auto" (node count decides).
+    The node count picks the tier (module docstring): the driver-resident
+    rank vector at or below ``broadcast_limit`` nodes, a distributed one
+    above it.
 
     ``seeds``: optional iterable of node ids → PERSONALIZED PageRank:
     the teleport term (initial mass, the 15 % restart, and the dangling
@@ -190,8 +192,7 @@ def pagerank(edges, *, iters: int = 3, scale: int = DEFAULT_SCALE,
         num_partitions).materialize()
     seed_arr = (None if seeds is None
                 else np.unique(np.asarray(list(seeds), dtype=np.int64)))
-    if backend == "dataset" or (backend == "auto"
-                                and node_wout.count() > broadcast_limit):
+    if node_wout.count() > broadcast_limit:
         return _pagerank_dataset(ed, node_wout, iters, scale,
                                  num_partitions, seed_arr)
 
@@ -426,8 +427,7 @@ HITS_SCALE = 10 ** 6
 
 def hits(edges, *, iters: int = 3, scale: int = HITS_SCALE,
          src_col: str = "src", dst_col: str = "dst",
-         weight_col: Optional[str] = None,
-         backend: str = "auto", broadcast_limit: int = 2_000_000,
+         weight_col: Optional[str] = None, broadcast_limit: int = 2_000_000,
          num_partitions: int = 16):
     """Kleinberg's HITS over an edge Dataset → Dataset of
     ``(node, hub_score, auth_score)`` int64.
@@ -451,11 +451,12 @@ def hits(edges, *, iters: int = 3, scale: int = HITS_SCALE,
     default scale, measured Σ ≈ 0.64·scale: the tail floors to 0,
     which is usually the desired behavior for hub/authority RANKING,
     where only the head is meaningful).
-    Backends mirror :func:`pagerank`: broadcast (score vectors on the
-    driver, one edge pass per half-iteration routed via ``ray.put``)
-    and dataset (scores stay a hash-partitioned Dataset; per
-    half-iteration one routing join + one bucket fold + one attach
-    join). Bound: ``|E| · max_w · scale < 2^63``.
+    Tiers mirror :func:`pagerank`, picked by the node count against
+    ``broadcast_limit``: broadcast (score vectors on the driver, one edge
+    pass per half-iteration routed via ``ray.put``) and dataset (scores
+    stay a hash-partitioned Dataset; per half-iteration one routing join
+    + one bucket fold + one attach join). Bound: ``|E| · max_w · scale
+    < 2^63``.
     """
     import ray.data as rd
 
@@ -472,7 +473,7 @@ def hits(edges, *, iters: int = 3, scale: int = HITS_SCALE,
             "node": pa.array([], pa.int64()),
             "hub_score": pa.array([], pa.int64()),
             "auth_score": pa.array([], pa.int64())}))
-    if backend == "dataset" or (backend == "auto" and n > broadcast_limit):
+    if n > broadcast_limit:
         return _hits_dataset(ed, node_rows, iters, scale, num_partitions)
 
     nodes = np.sort(node_rows.to_pandas()["node"].to_numpy(dtype=np.int64))

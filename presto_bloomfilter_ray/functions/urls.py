@@ -115,7 +115,7 @@ def host_filter(ds, blocked_hosts: Iterable[str], url_col: str = "url",
     bf = BloomFilter(expected or max(len(hosts), 10), fpp)
     bf.update_arrow(pa.array(hosts, type=pa.string()))
 
-    probe = ContainsFilter(bf.serialize(), "_host", mode="anti")
+    probe = ContainsFilter(bf, "_host", mode="anti")
 
     def add_host_and_filter(batch: pa.Table) -> pa.Table:
         x = batch.column(url_col)

@@ -37,6 +37,7 @@ import ray
 
 from ..engine.store import open_store
 from ..sketches import KLL, BloomFilter, CountMin, HyperLogLog, TDigest, deserialize
+from ..sketches.base import merge_envelopes
 from ..sources.webpages import url_host
 
 SUITE_COLUMNS = ["url", "text", "lang"]
@@ -254,13 +255,8 @@ def run_suite(
     def _merge_chunk(name: str, keys: List[str]):
         _cap_worker_threads()
         st = open_store(store_root)
-        acc = None
-        for k in keys:
-            key = f"{_part_prefix(run_id, k)}/{name}"
-            if not st.exists(key):
-                continue
-            sk = deserialize(st.get(key))
-            acc = sk if acc is None else acc.merge(sk)
+        paths = [f"{_part_prefix(run_id, k)}/{name}" for k in keys]
+        acc = merge_envelopes(st.get(p) for p in paths if st.exists(p))
         if acc is None:
             return None
         # TRANSIENT envelope (no gzip, no sha) for the chunk→finalize
@@ -282,12 +278,7 @@ def run_suite(
     @ray.remote
     def _finalize_name(name: str, *envs):
         _cap_worker_threads()
-        acc = None
-        for env in envs:
-            if env is None:
-                continue
-            sk = deserialize(env)
-            acc = sk if acc is None else acc.merge(sk)
+        acc = merge_envelopes(envs)
         if acc is None:
             return None
         st = open_store(store_root)

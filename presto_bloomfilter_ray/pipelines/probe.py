@@ -20,12 +20,9 @@ import os
 import time
 from typing import Dict, List, Optional, Union
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray
-
-from ..engine.ops import get_or_load
+from ..engine.ops import semi_join
 from ..engine.store import open_store
 
 
@@ -72,16 +69,9 @@ def probe_and_write(
         shutil.rmtree(out_dir)
     store = open_store(store_root)
     env = store.get(sketch_key)
-    ref = ray.put(env)
 
     t0 = time.time()
-
-    def probe(batch: pa.Table) -> pa.Table:
-        sk = get_or_load(ray.get(ref))
-        mask = sk.contains_many(batch.column(col))
-        return batch.filter(pa.array(~mask if anti else mask))
-
-    out = ds.map_batches(probe, batch_format="pyarrow")
+    out = semi_join(ds, col, env, anti=anti)
     if partition_cols:
         # hive layout: one directory per key value — resumable/prunable
         # output (a rerun or consumer can address partitions directly)

@@ -32,7 +32,7 @@ import gzip
 import hashlib
 import json
 import struct
-from typing import Any, Callable, Dict, Type
+from typing import Any, Callable, Dict, Iterable, Optional, Type
 
 MAGIC = b"RDS1"
 _HDR = struct.Struct("<4sB32sI")  # magic, kind, sha256, params_len
@@ -153,6 +153,21 @@ def deserialize(buf: bytes) -> Sketch:
     if cls is None:
         raise ValueError(f"unknown sketch kind {kind}")
     return cls._from_parts(params, payload)
+
+
+def merge_envelopes(blobs: Iterable[Optional[bytes]]) -> Optional[Sketch]:
+    """Union of a sequence of envelopes (reference combine, A4): each is
+    deserialized and merged into the first, left to right in arrival
+    order; ``None`` entries are skipped. ``None`` when no envelope is
+    left. The one fold every merge stage (partials, trees, store loads)
+    goes through."""
+    acc: Optional[Sketch] = None
+    for b in blobs:
+        if b is None:
+            continue
+        sk = deserialize(b)
+        acc = sk if acc is None else acc.merge(sk)
+    return acc
 
 
 def from_base64(s: str) -> Sketch:

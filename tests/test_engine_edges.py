@@ -91,15 +91,6 @@ def test_salted_grouped_sketch_matches_unsalted(ray_session, sf_dir, duck):
         assert np.array_equal(sk.bits, serial.bits), lang
 
 
-def test_build_sketch_actor_pool_path(ray_session, sf_dir, duck):
-    import ray.data as rd
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    pooled = build_sketch(docs, "text", lambda: BloomFilter(5000), concurrency=2)
-    plain = build_sketch(docs, "text", lambda: BloomFilter(5000))
-    assert np.array_equal(pooled.bits, plain.bits)
-
-
 def test_grouped_sketch_skips_null_keys(ray_session):
     import ray.data as rd
 

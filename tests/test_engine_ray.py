@@ -59,8 +59,6 @@ def test_semi_and_anti_join_conformance(ray_session, sf_dir, duck):
     expect = duck.sql("select count(*) from nation where n_regionkey=2").fetchone()[0]
     assert semi_join(nation, "n_name", bf).count() == expect
     assert semi_join(nation, "n_name", bf, anti=True).count() == 25 - expect
-    # actor-pool variant
-    assert semi_join(nation, "n_name", bf, concurrency=2).count() == expect
 
 
 def test_contains_column(ray_session, sf_dir):

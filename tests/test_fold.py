@@ -714,6 +714,17 @@ def test_join_broadcast_keeps_left_blocks_and_order(ray_session):
     assert got == sorted(got)  # left order, duplicates adjacent
 
 
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+def test_join_rejects_schemaless_empty_right(ray_session, how):
+    """Ray drops the schema of an empty repartitioned table: the join
+    cannot know the right's columns, so it raises instead of returning
+    the left's columns only."""
+    right = rd.from_arrow(_INT_R.slice(0, 0)).repartition(3)
+    with pytest.raises(ValueError, match="right side"):
+        fold.join(rd.from_arrow(_INT_L), right, on="k", right_on="rk",
+                  how=how, n_parts=4, broadcast_limit=10**6)
+
+
 def test_join_rejects_other_how(ray_session):
     with pytest.raises(ValueError, match="inner"):
         fold.join(rd.from_arrow(_INT_L), rd.from_arrow(_INT_R), on="k",

@@ -1,4 +1,4 @@
-"""PageRank (functions/graph.py): integer recurrence, backend parity,
+"""PageRank (functions/graph.py): integer recurrence, tier parity,
 and the generated SQL mirror."""
 import duckdb
 import numpy as np
@@ -29,16 +29,22 @@ def _oracle(t: pa.Table, iters: int):
     return con.execute(pagerank_sql_mirror(edges_sql, iters=iters)).df()
 
 
-def _run(t, backend, iters=3, **kw):
-    return (pagerank(rd.from_arrow(t), iters=iters, backend=backend,
+#: broadcast_limit per tier: the node count picks the tier, and 0
+#: sends any graph to the dataset tier
+_TIER_LIMIT = {"broadcast": 2_000_000, "dataset": 0}
+
+
+def _run(t, tier, iters=3, **kw):
+    return (pagerank(rd.from_arrow(t), iters=iters,
+                     broadcast_limit=_TIER_LIMIT[tier],
                      num_partitions=4, **kw)
             .to_pandas().sort_values("node").reset_index(drop=True))
 
 
-@pytest.mark.parametrize("backend", ["broadcast", "dataset"])
-def test_matches_sql_mirror(ray_session, backend):
+@pytest.mark.parametrize("tier", ["broadcast", "dataset"])
+def test_matches_sql_mirror(ray_session, tier):
     t = _random_edges(11)
-    got = _run(t, backend)
+    got = _run(t, tier)
     ref = _oracle(t, 3)
     assert got["node"].tolist() == ref["node"].tolist()
     assert got["rank_micro"].tolist() == ref["rank_micro"].tolist()
@@ -87,8 +93,7 @@ def test_zero_iters_is_uniform(ray_session):
 def test_empty_edges(ray_session):
     t = pa.table({"src": pa.array([], pa.int64()),
                   "dst": pa.array([], pa.int64())})
-    got = pagerank(rd.from_arrow(t), iters=3, backend="broadcast",
-                   num_partitions=4).to_pandas()
+    got = pagerank(rd.from_arrow(t), iters=3, num_partitions=4).to_pandas()
     assert got.empty
 
 
@@ -118,16 +123,17 @@ def _hits_oracle(t: pa.Table, iters: int):
     return con.execute(hits_sql_mirror(edges_sql, iters=iters)).df()
 
 
-def _hits_run(t, backend, iters=3, **kw):
-    return (hits(rd.from_arrow(t), iters=iters, backend=backend,
+def _hits_run(t, tier, iters=3, **kw):
+    return (hits(rd.from_arrow(t), iters=iters,
+                 broadcast_limit=_TIER_LIMIT[tier],
                  num_partitions=4, **kw)
             .to_pandas().sort_values("node").reset_index(drop=True))
 
 
-@pytest.mark.parametrize("backend", ["broadcast", "dataset"])
-def test_hits_matches_sql_mirror(ray_session, backend):
+@pytest.mark.parametrize("tier", ["broadcast", "dataset"])
+def test_hits_matches_sql_mirror(ray_session, tier):
     t = _random_edges(21)
-    got = _hits_run(t, backend)
+    got = _hits_run(t, tier)
     ref = _hits_oracle(t, 3)
     assert got["node"].tolist() == ref["node"].tolist()
     assert got["hub_score"].tolist() == ref["hub_score"].tolist()
@@ -164,8 +170,7 @@ def test_hits_empty_edges(ray_session):
                   "dst": pa.array([], pa.int64())})
     # to_pandas() on an empty Dataset drops the column schema (same
     # Ray behavior as test_empty_edges above) — check emptiness only
-    got = hits(rd.from_arrow(t), iters=3, backend="broadcast",
-               num_partitions=4).to_pandas()
+    got = hits(rd.from_arrow(t), iters=3, num_partitions=4).to_pandas()
     assert len(got) == 0
 
 
@@ -193,11 +198,11 @@ def _ppr_oracle(t: pa.Table, iters: int, seeds):
         pagerank_sql_mirror(edges_sql, iters=iters, seeds=seeds)).df()
 
 
-@pytest.mark.parametrize("backend", ["broadcast", "dataset"])
-def test_personalized_matches_sql_mirror(ray_session, backend):
+@pytest.mark.parametrize("tier", ["broadcast", "dataset"])
+def test_personalized_matches_sql_mirror(ray_session, tier):
     t = _random_edges(31)
     seeds = [0, 5, 17, 105]  # 105 only appears as a destination
-    got = _run(t, backend, seeds=seeds)
+    got = _run(t, tier, seeds=seeds)
     ref = _ppr_oracle(t, 3, seeds)
     assert got["node"].tolist() == ref["node"].tolist()
     assert got["rank_micro"].tolist() == ref["rank_micro"].tolist()
