@@ -1047,21 +1047,19 @@ def _grouped_quantiles_totalprice(sf_dir: str):
 def _join_orders_customer_nation(sf_dir: str):
     """Keyed inner join (functions/fold.py join: the customer table
     broadcast, or both sides co-partitioned on the key) + grouped
-    aggregate — revenue per customer nation."""
-    from ray.data.aggregate import Count, Sum
-
-    from presto_bloomfilter_ray.functions.fold import join
+    aggregate (a bucket fold) — revenue per customer nation."""
+    from presto_bloomfilter_ray.functions.fold import bucket_fold, join
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     joined = join(orders, cust, on="o_custkey", right_on="c_custkey",
                   how="inner", n_parts=16,
-                  broadcast_limit=_JOIN_BROADCAST_LIMIT).map_batches(
-        _add_cents("o_totalprice"), batch_format="pyarrow")
-    agg = joined.groupby("c_nationkey").aggregate(
-        Count(alias_name="n_orders"), Sum("_cents", alias_name="_tp")
-    )
+                  broadcast_limit=_JOIN_BROADCAST_LIMIT)
+    agg = bucket_fold(joined, ["c_nationkey"],
+                      [(None, "count", "n_orders"), ("_cents", "sum", "_tp")],
+                      pre=_add_cents("o_totalprice"))
     df = agg.to_pandas()
+    df["c_nationkey"] = df["c_nationkey"].astype(np.int64)  # int32 column
     df["total_price"] = (df["_tp"] / 100.0).round(2)
     return df[["c_nationkey", "n_orders", "total_price"]]
 
@@ -1143,10 +1141,9 @@ def _range_join_price_bands(sf_dir: str):
 def _q5_revenue_by_nation(sf_dir: str):
     """TPC-H Q5-shaped multi-join: lineitem ⋈ orders ⋈ customer ⋈ nation,
     revenue per nation name — a chain of keyed joins
-    (functions/fold.py join) feeding a grouped aggregate."""
-    from ray.data.aggregate import Sum
-
-    from presto_bloomfilter_ray.functions.fold import join
+    (functions/fold.py join) feeding a grouped aggregate (a bucket
+    fold)."""
+    from presto_bloomfilter_ray.functions.fold import bucket_fold, join
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -1166,8 +1163,7 @@ def _q5_revenue_by_nation(sf_dir: str):
     j = join(li, orders, on="l_orderkey", right_on="o_orderkey", **kw)
     j = join(j, cust, on="o_custkey", right_on="c_custkey", **kw)
     j = join(j, nation, on="c_nationkey", right_on="n_nationkey", **kw)
-    agg = j.groupby("n_name").aggregate(Sum("revenue", alias_name="_r"))
-    df = agg.to_pandas()
+    df = bucket_fold(j, ["n_name"], [("revenue", "sum", "_r")]).to_pandas()
     df["revenue"] = ((df["_r"] + 50) // 100) / 100.0  # half-up ties, see q1
     return df[["n_name", "revenue"]]
 
@@ -3152,7 +3148,7 @@ def _edit_neighbors_customer(sf_dir: str):
         .filter(expr="c_nationkey == 3")
     pairs, stats = edit_distance_pairs(
         cust, max_dist=1, q=3, id_col="c_custkey", text_col="c_name",
-        n_parts=8, num_buckets=16)
+        n_parts=8)
     df = pairs.to_pandas()
     if stats["capped_grams"]:
         raise RuntimeError("hot-gram cap fired — result not exact")

@@ -220,19 +220,19 @@ def grouped_sketch(
     key: str,
     col: str,
     factory: SketchFactory,
-    batch_size: Optional[int] = None,
     finalize: Callable[[Sketch], Any] = lambda s: s.serialize(),
     out_col: str = "sketch",
 ):
     """GROUP BY ``key`` sketch over ``col`` — shuffles partials, not rows.
 
-    Stage 1 (map side): within each batch, group rows by key with a
+    Stage 1 (map side): within each block, group rows by key with a
     vectorized sort+``reduceat`` split and build one partial sketch per
-    (key, batch) — the analog of the reference's grouped state array
+    (key, block) — the analog of the reference's grouped state array
     (``BloomFilterStateFactory.java:48-91``), but distributed.
     Stage 2: one bucketed exchange of the tiny partials table by
-    ``hash(key)``; each bucket's reducer merges the envelopes of all its
-    keys in one call (≤ 64 calls, not one per key).
+    ``hash(key)``, count-sized by ``functions.fold.exchange``;
+    each partition's reducer merges the envelopes of all its keys in
+    one call (one call per partition, not one per key).
 
     Returns a Dataset with columns ``[key, out_col]``.
 
@@ -280,7 +280,7 @@ def grouped_sketch(
     from ..functions.fold import exchange
 
     return exchange(ds, [key], _merge_key_runs(key, finalize, out_col),
-                    pre=partials_per_key, batch_size=batch_size)
+                    pre=partials_per_key)
 
 
 def salted_grouped_sketch(

@@ -15,9 +15,7 @@ Why no shuffle per round: the label table already lives on the driver
 (that's the stated memory contract, ~16 B per candidate node, fine to
 ~10^8 nodes), so folding per-batch min-proposals there costs the same
 memory class as the broadcast — and replaces one all-to-all ``groupby``
-PER ROUND with a plain map stage. For edge sets too large even for
-per-batch folding, ``shuffle_rounds=True`` restores the
-``groupby(node).min`` exchange per round.
+PER ROUND with a plain map stage.
 
 Note on joins: the label lookup is a broadcast + ``searchsorted``,
 not the package's keyed join (:func:`~.fold.join`), for its own
@@ -30,7 +28,8 @@ For graphs whose NODE SET outgrows driver memory entirely (extreme
 near-duplication at 10^10+ docs), :func:`connected_components_ds`
 keeps the label table a hash-partitioned **Dataset** end to end —
 per-round label attach runs as :func:`~.fold.co_attach` exchanges,
-and convergence is a tiny changed-count aggregate. 3 sort-shuffles per round vs zero for
+and convergence is a tiny changed-count aggregate. Four count-sized
+exchanges per round (three attaches and a pointer jump) vs zero for
 the broadcast path, so it's the opt-in for when the contract above no
 longer holds, not the default.
 """
@@ -83,8 +82,7 @@ def _propose0(batch: pa.Table) -> pa.Table:
     return _propose(a, b, np.minimum(a, b))
 
 
-def connected_components(edges, max_iters: int = 50,
-                         shuffle_rounds: bool = False):
+def connected_components(edges, max_iters: int = 50):
     """``edges``: Dataset or pandas DataFrame with int64 columns
     ``a``/``b`` (other columns are ignored) → pandas DataFrame (node,
     component), component = min node id of the component. A
@@ -99,15 +97,9 @@ def connected_components(edges, max_iters: int = 50,
         edges = edges.materialize()
 
     # round 0: map-side fold per batch, driver fold across batches
-    p0 = edges.map_batches(_propose0, batch_format="pyarrow")
-    if shuffle_rounds:
-        df0 = bucket_fold(p0, ["node"],
-                          [("label", "min", "label")]).to_pandas()
-        order = np.argsort(df0["node"].to_numpy())
-        nodes = df0["node"].to_numpy().astype(np.int64)[order]
-        labels = df0["label"].to_numpy().astype(np.int64)[order]
-    else:
-        nodes, labels = _fold_batches(p0.iter_batches(batch_format="pyarrow"))
+    nodes, labels = _fold_batches(
+        edges.map_batches(_propose0, batch_format="pyarrow")
+        .iter_batches(batch_format="pyarrow"))
 
     converged = False
     for _ in range(max_iters):
@@ -120,14 +112,9 @@ def connected_components(edges, max_iters: int = 50,
             return _propose(a, b, np.minimum(lb[np.searchsorted(nd, a)],
                                              lb[np.searchsorted(nd, b)]))
 
-        prop = edges.map_batches(propose, batch_format="pyarrow")
-        if shuffle_rounds:
-            pdf = bucket_fold(prop, ["node"],
-                              [("label", "min", "label")]).to_pandas()
-            pn = pdf["node"].to_numpy().astype(np.int64)
-            pl = pdf["label"].to_numpy().astype(np.int64)
-        else:
-            pn, pl = _fold_batches(prop.iter_batches(batch_format="pyarrow"))
+        pn, pl = _fold_batches(edges.map_batches(
+            propose, batch_format="pyarrow").iter_batches(
+                batch_format="pyarrow"))
         new_labels = labels.copy()
         idx = np.searchsorted(nodes, pn)
         np.minimum.at(new_labels, idx, pl)
@@ -148,8 +135,7 @@ def connected_components(edges, max_iters: int = 50,
     return pd.DataFrame({"node": nodes, "component": labels})
 
 
-def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
-                            shortcut: bool = True):
+def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64):
     """Fully distributed min-label propagation: the label table is a
     hash-partitioned **Dataset** for graphs whose node set outgrows
     driver memory — nothing but a per-round changed-count scalar ever
@@ -170,9 +156,9 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
     3. fold proposals into the labels in the ``node & mask`` partition,
        emitting a ``changed`` flag per node; ``sum(changed) == 0`` is
        the exact fixpoint test (labels are monotone non-increasing);
-    4. with ``shortcut=True`` (default), one more exchange applies
-       pointer jumping — ``label(n) ← label(label(n))`` — so label
-       distance to the component minimum roughly HALVES per round:
+    4. one more exchange applies pointer jumping —
+       ``label(n) ← label(label(n))`` — so label distance to the
+       component minimum roughly HALVES per round:
        O(log diameter) rounds on path-shaped graphs instead of
        O(diameter), at one extra shuffle per round. Labels stay ids of
        component members (label(n) is a member; its label is a member
@@ -269,16 +255,15 @@ def connected_components_ds(edges, max_iters: int = 50, n_parts: int = 64,
         if not n_changed:
             converged = True
             break
-        if shortcut:
-            labels = _sever(attach(labels, jump, "label",
-                                   lab_schema).materialize())
+        labels = _sever(attach(labels, jump, "label",
+                               lab_schema).materialize())
     if not converged:
-        # silent truncation would return WRONG components (a chain of
-        # length > max_iters without shortcutting, e.g.); fail loudly
+        # silent truncation would return WRONG components (e.g. a
+        # chain longer than 2**max_iters); fail loudly
         raise RuntimeError(
             f"connected_components_ds did not converge in {max_iters} "
-            "rounds; raise max_iters (or keep shortcut=True — label "
-            "distance halves per round, so log2(diameter) rounds suffice)")
+            "rounds; raise max_iters (label distance halves per round, "
+            "so about log2(diameter) rounds suffice)")
     return labels.map_batches(
         lambda b: pa.table({"node": b.column("node"),
                             "component": b.column("label")}),

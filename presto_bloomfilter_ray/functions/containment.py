@@ -113,7 +113,6 @@ def _expand_pairs(gh: np.ndarray, doc: np.ndarray, cap: int):
 def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                       k: int = 5, tau: float = 0.8, *,
                       sample_mod: int = 1, hot_gram_cap: int = 10_000,
-                      num_buckets: int = 64,
                       broadcast_limit: int = 2_000_000,
                       num_partitions: int = 32) -> Tuple:
     """Document pairs with directional containment ≥ ``tau``.
@@ -142,8 +141,7 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         batch_format="pyarrow", batch_size=None)
     grams = grams.materialize()  # sizes + pairs both consume it
 
-    sizes = bucket_fold(grams, ["doc"], [(None, "count", "sz")],
-                        num_buckets=num_buckets).materialize()
+    sizes = bucket_fold(grams, ["doc"], [(None, "count", "sz")]).materialize()
 
     cap_counter = ray.remote(_CapCounter).remote()
 
@@ -165,10 +163,8 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             pl.len().cast(pl.Int64).alias("inter"))
         return kt.to_arrow()
 
-    inter = bucket_fold(exchange(grams, ["gh"], pairs_of,
-                                 num_buckets=num_buckets),
-                        ["key"], [("inter", "sum", "inter")],
-                        num_buckets=num_buckets)
+    inter = bucket_fold(exchange(grams, ["gh"], pairs_of),
+                        ["key"], [("inter", "sum", "inter")])
 
     def unpack(b: pa.Table) -> pa.Table:
         key = np.asarray(b.column("key"), dtype=np.int64)

@@ -20,7 +20,6 @@ The corpus side never shuffles: flagging is a pure map stage.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -154,8 +153,7 @@ def benchmark_bloom(bench_ds, text_col: str = "text",
 def flag_contaminated(ds, sketch, text_col: str = "text",
                       flag_col: str = "contaminated",
                       min_len: int = 1, unit: str = "line",
-                      ngram: int = 13,
-                      concurrency: Optional[int] = None):
+                      ngram: int = 13):
     """Append a boolean ``flag_col``: True iff ANY membership unit of
     the doc (line, or token n-gram with ``unit="ngram"``) is (probably)
     in the benchmark filter. Pure map stage — the envelope ships via
@@ -197,10 +195,7 @@ def flag_contaminated(ds, sketch, text_col: str = "text",
         any_hit = np.bincount(parents[hit], minlength=n_docs) > 0
         return set_column(b, flag_col, pa.array(any_hit))
 
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return ds.map_batches(probe, **kwargs)
+    return ds.map_batches(probe, batch_format="pyarrow")
 
 
 def decontaminate(ds, bench_ds, text_col: str = "text",
@@ -247,8 +242,7 @@ def reference_gram_index(ref_ds, text_col: str = "text",
     return np.unique(parts["g"].to_numpy().astype(np.uint64))
 
 
-def novelty_scores(ds, ref, text_col: str = "text", ngram: int = 8,
-                   concurrency: Optional[int] = None):
+def novelty_scores(ds, ref, text_col: str = "text", ngram: int = 8):
     """Per-document n-gram NOVELTY against a reference corpus — the
     memorization-risk screen of an LLM data pipeline (what fraction of
     a doc's token n-grams has the model's training set already seen?):
@@ -310,7 +304,4 @@ def novelty_scores(ds, ref, text_col: str = "text", ngram: int = 8,
         out = set_column(out, "n_seen", pa.array(n_seen))
         return set_column(out, "novelty", novelty)
 
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return ds.map_batches(score, **kwargs)
+    return ds.map_batches(score, batch_format="pyarrow")

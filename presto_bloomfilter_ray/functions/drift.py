@@ -40,7 +40,6 @@ __all__ = ["categorical_drift"]
 
 
 def categorical_drift(ds_a, ds_b, key_col: str, cat_col: str, *,
-                      num_buckets: int = 16,
                       max_cells: int = 2_000_000) -> pd.DataFrame:
     """Per-key total-variation drift of ``cat_col``'s distribution
     between snapshots ``ds_a`` and ``ds_b``.
@@ -57,7 +56,6 @@ def categorical_drift(ds_a, ds_b, key_col: str, cat_col: str, *,
     def counts(ds):
         # the projection rides as ``pre``, keeping the free row count
         t = bucket_fold(ds, [key_col, cat_col], [(None, "count", "__drift_n")],
-                        num_buckets=num_buckets,
                         pre=lambda b: b.select([key_col, cat_col])).to_pandas()
         if len(t) > max_cells:
             raise ValueError(

@@ -54,7 +54,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .containment import _expand_pairs
-from .fold import bucket_fold, co_attach, exchange
+from .fold import bucket_fold, co_attach, exchange, exchange_width
 
 __all__ = ["edit_distance_pairs", "banded_levenshtein"]
 
@@ -222,7 +222,7 @@ class _CapCounter:
 def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
                         id_col: str = "doc_id", text_col: str = "text",
                         *, hot_gram_cap: int = 20_000,
-                        num_buckets: int = 64, n_parts: int = 32,
+                        n_parts: int = 32,
                         short_pool_cap: int = 200_000,
                         freq_vocab_limit: int = 4_000_000):
     """All pairs ``(a, b, dist)`` with ``a < b`` and byte-level
@@ -238,6 +238,10 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
     the corpus grows — q=3 suits ~10^5 short strings; use q=4–5 at
     10^6+ (measured: 1M strings from a 50k-word vocabulary are
     quadratic at q=3 and linear at q=4).
+
+    Every exchange (the gram count and pairing folds and the two
+    verification attaches) is count-sized, at most ``n_parts``
+    partitions.
 
     Ids must be unique, non-negative and < 2^31. ``q`` in [2, 7]."""
     import polars as pl
@@ -265,7 +269,7 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
     # deterministic hash order (still sound: the theorem only needs
     # consistency, frequency is a performance heuristic).
     freq = bucket_fold(grams, ["gh"], [(None, "count", "n")],
-                       num_buckets=num_buckets)
+                       num_buckets=n_parts)
     n_vocab = freq.count()
     # collect the vocabulary ONLY when it fits the broadcast budget —
     # pulling it first and checking after would OOM the driver at
@@ -357,8 +361,8 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
         return pl.DataFrame({"key": a * _PACK + bb}).unique().to_arrow()
 
     keys = bucket_fold(exchange(prefix_grams, ["gh"], pairs_of,
-                                num_buckets=num_buckets),
-                       ["key"], [], num_buckets=num_buckets)
+                                num_buckets=n_parts),
+                       ["key"], [], num_buckets=n_parts)
 
     def edge_rows(b: pa.Table) -> pa.Table:
         key = np.asarray(b.column("key"), dtype=np.int64)
@@ -373,7 +377,10 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
     # ---- verification: two co_attach exchanges attach each side's
     # text to its edges. The corpus-sized doc side is deliberately NOT
     # materialized — each exchange re-streams it from the source rather
-    # than pinning the whole corpus's text in the object store
+    # than pinning the whole corpus's text in the object store. Both
+    # are sized from the doc and edge counts (phase A emits at most one
+    # row per edge)
+    width = exchange_width(ds.count() + edges.count(), n_parts)
     i64, txt = pa.int64(), pa.large_string()
     doc_schema = [(id_col, i64), (text_col, txt)]
 
@@ -406,11 +413,11 @@ def edit_distance_pairs(ds, max_dist: int = 1, q: int = 3,
             "dist": pa.array(dist[ok], pa.int32())})
 
     phase_a = co_attach(ds, edges, attach_a, left_key=id_col,
-                        right_key="a", n_parts=n_parts,
+                        right_key="a", n_parts=width,
                         left_schema=doc_schema,
                         right_schema=[("a", i64), ("b", i64)])
     verified = co_attach(ds, phase_a, verify_b, left_key=id_col,
-                         right_key="b", n_parts=n_parts,
+                         right_key="b", n_parts=width,
                          left_schema=doc_schema,
                          right_schema=[("b", i64), ("a", i64),
                                        ("txt_a", txt)])

@@ -66,26 +66,32 @@ Used by:
   and HITS backends, every ``planned_join`` tier, and the TPC-H join
   queries.
 
-Widths are count-sized by :func:`exchange_width`: every ``exchange``
-whose input row count Ray knows without running it, and LSH and
-SimHash pairing, the MinHash index probe and dataset connected
-components from their own counts. A caller that derives its keys
-per block passes that map as ``pre`` (``exchange``, ``bucket_fold``,
-``cap_per_key``) rather than mapping the input first, since any map
-hides the free count.
+Every exchange is count-sized by :func:`exchange_width`, capped by
+its caller's ``num_buckets`` / ``n_parts``. ``exchange`` takes the
+input's row count where Ray knows it without running the input (a
+materialized dataset, a plain parquet read); over any other input it
+materializes its own tagged map side (after ``pre`` and
+``bucket_fold``'s pre-fold, so a fold's rows are already key-sized
+partials) when it is called and counts that. LSH and SimHash pairing,
+the MinHash index probe and dataset connected components size their
+exchanges from their own counts. A caller that derives its keys per
+block passes that map as ``pre`` (``exchange``, ``bucket_fold``,
+``cap_per_key``) rather than mapping the input first, so a free count
+stays free and the map fuses into the tag.
 
-Two plans: at width 1 (a caller's width of 1, or a count-sized
-exchange under :data:`ROWS_PER_PART` rows) the key check fuses into
-each input's last map, ``repartition(1)`` makes one block, and one
+At width 1 (a caller's width of 1, or a count-sized exchange under
+:data:`ROWS_PER_PART` rows) the key check fuses into each input's
+last map, ``repartition(1)`` makes one block, and one
 ``map_batches(batch_size=None)`` calls ``fn(0, rows)``: no partition
 tag, no sort, no ``map_groups`` (PERF §63). Wider, rows are tagged
-with their partition and grouped by Ray's sort shuffle. Two dedup
-stages fuse whole chains into that one width-1 call (PERF §64):
-LSH pairing, the band-collision screen and the Jaccard estimate of
-``dedup.lsh_candidate_pairs`` (three exchanges when wider), and
-``dedup.exact_dedup``'s hash fold and keep filter when its input's
-free count and byte size fit one block and the broadcast tier (its
-output is split back into the input's block count).
+with their partition, coalesced to one block per partition and
+grouped by Ray's sort shuffle. Two dedup stages fuse whole chains
+into that one width-1 call (PERF §64): LSH pairing, the band-collision
+screen and the Jaccard estimate of ``dedup.lsh_candidate_pairs``
+(three exchanges when wider), and ``dedup.exact_dedup``'s hash fold
+and keep filter when its input's free count and byte size fit one
+block and the broadcast tier (its output is split back into the
+input's block count).
 """
 
 from __future__ import annotations
@@ -169,8 +175,7 @@ def append_bucket(b: pa.Table, key_cols, num_buckets: int,
 def exchange(ds, keys: Sequence[str],
              fn: Callable[[pa.Table], pa.Table], *,
              pre: Optional[Callable[[pa.Table], pa.Table]] = None,
-             num_buckets: int = NUM_BUCKETS,
-             batch_size: Optional[int] = None):
+             num_buckets: int = NUM_BUCKETS):
     """Run ``fn`` once per non-empty partition of ``hash(keys)``
     buckets.
 
@@ -185,22 +190,20 @@ def exchange(ds, keys: Sequence[str],
     the bucket instead of the raw key bounds that to ``num_buckets``
     calls at any key cardinality.
 
-    Width: when Ray knows the input's row count without running it
-    (a materialized dataset, a plain parquet read), the exchange is
-    count-sized by :func:`exchange_width` and coalesced, so a small
-    input is one partition and runs :func:`partition_map`'s sort-free
-    width-1 plan (one ``fn`` call over one block). Otherwise every
-    bucket is its own partition and the sort runs over the input's
-    own blocks: coalescing a lazy input to ``num_buckets`` blocks
-    costs more than the shuffle it feeds (PERF §62). Mapping ``ds``
-    before the call hides its count, so pass a per-block map as
-    ``pre`` instead; ``pre`` must not add rows, since the width is
-    sized from the input's count. ``fn`` must return a typed table
-    even when its partition filters to empty, so downstream blocks
-    share one schema.
+    Width: :func:`exchange_width` of a row count, at most
+    ``num_buckets``, so a small input is one partition and runs
+    :func:`partition_map`'s sort-free width-1 plan (one ``fn`` call over
+    one block). The count is the input's when Ray knows it without
+    running the input (a materialized dataset, a plain parquet read);
+    ``pre`` must then not add rows. Otherwise the tagged map side is
+    materialized when ``exchange`` is called and its rows are counted,
+    so a lazy input runs its map side here, not when the result is
+    consumed. Pass a per-block map as ``pre`` rather than mapping
+    ``ds`` first: a map hides the free count. ``fn`` must return a
+    typed table even when its partition filters to empty, so
+    downstream blocks share one schema.
     """
     keys = list(keys)
-    rows = ds._meta_count()
 
     def tag(b: pa.Table) -> pa.Table:
         if pre is not None:
@@ -210,11 +213,13 @@ def exchange(ds, keys: Sequence[str],
     def reduce(_part: int, g: pa.Table) -> pa.Table:
         return fn(g.drop_columns(["_b"]))
 
-    return partition_map(
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=batch_size),
-        reduce, key="_b",
-        width=num_buckets if rows is None else exchange_width(rows, num_buckets),
-        coalesce=0 if rows is None else None)
+    rows = ds._meta_count()
+    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    if rows is None:
+        tagged = tagged.materialize()
+        rows = tagged.count()
+    return partition_map(tagged, reduce, key="_b",
+                         width=exchange_width(rows, num_buckets))
 
 
 #: private partition column of partition_map
@@ -235,25 +240,22 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
     is tagged on its own, so the tag fuses into its last map stage,
     and the tagged sides are unioned.
 
-    The input is coalesced to ``coalesce`` blocks (default: one per
-    partition; ``0`` keeps the input's own blocks) before grouping:
-    the sort-based shuffle fragments every input block into every
-    output partition, so hundreds of tiny upstream blocks (parquet
-    SplitBlocks × map fan-out) make it quadratic in fragments — 16.6 s
-    for a trivial groupby over 291 small blocks vs 0.8 s after
-    ``repartition(32)`` at 200k docs (PERF §12). Raise ``width`` with
-    cluster size.
+    Above width 1, the input is coalesced to ``coalesce`` blocks
+    (default: one per partition) before grouping: the sort-based
+    shuffle fragments every input block into every output partition,
+    so hundreds of tiny upstream blocks (parquet SplitBlocks × map
+    fan-out) make it quadratic in fragments — 16.6 s for a trivial
+    groupby over 291 small blocks vs 0.8 s after ``repartition(32)``
+    at 200k docs (PERF §12). Raise ``width`` with cluster size.
 
-    Width 1, coalesced: the plan is the key check fused into each
-    input's last map, ``repartition(1)`` and one
-    ``map_batches(batch_size=None)`` calling ``fn(0, rows)`` over the
-    one block — no ``_co_part`` tag, no sort, no ``map_groups``. Empty
-    input never calls ``fn`` (Ray skips empty blocks). Wider widths,
-    and width 1 with ``coalesce=0``, group by the tag in Ray's sort
-    shuffle.
+    Width 1: the plan is the key check fused into each input's last
+    map, ``repartition(1)`` and one ``map_batches(batch_size=None)``
+    calling ``fn(0, rows)`` over the one block — no ``_co_part`` tag,
+    no sort, no ``map_groups``. Empty input never calls ``fn`` (Ray
+    skips empty blocks).
     """
     mask = _pow2(width) - 1
-    one = mask == 0 and coalesce != 0
+    one = mask == 0
 
     def tag(b: pa.Table) -> pa.Table:
         if b.schema.field(key).type != pa.int64():
@@ -273,9 +275,8 @@ def partition_map(ds, fn: Callable[[int, pa.Table], pa.Table], *,
         # one partition: one block, one call; Ray skips empty blocks
         return first.repartition(1).map_batches(
             lambda g: fn(0, g), batch_format="pyarrow", batch_size=None)
-    if coalesce != 0:
-        first = first.repartition(coalesce or mask + 1)
-    return first.groupby(_PART).map_groups(run, batch_format="pyarrow")
+    return (first.repartition(coalesce or mask + 1).groupby(_PART)
+            .map_groups(run, batch_format="pyarrow"))
 
 
 #: private columns of the co_attach layout: the key both sides share
@@ -488,9 +489,9 @@ def bucket_fold(ds, keys: Sequence[str],
     ``count``). Returns a Dataset with columns ``keys + aliases``;
     values are bit-identical to the Ray aggregate for these
     order-independent ops. Key columns must be non-null (all callers
-    group on computed hashes / ids). ``num_buckets`` bounds reduce
-    parallelism and per-task group size — size it like a shuffle
-    partition count (a bucket holds ~n_distinct_keys/num_buckets keys).
+    group on computed hashes / ids). The exchange is count-sized
+    (:func:`exchange`; over a lazy input, from the pre-folded
+    partials), at most ``num_buckets`` partitions.
 
     ``pre``: the caller's per-block map (e.g. deriving the key
     columns), run map-side before the pre-fold, as :func:`exchange`'s

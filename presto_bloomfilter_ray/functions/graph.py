@@ -52,12 +52,13 @@ dataset tier):
 Every node-keyed reduction goes through :func:`_bucket_fold_sum`, NOT
 ``groupby(node).aggregate(Sum)``: Ray 2.49's sort-based aggregate costs
 ~100 s for 17M rows / 1M distinct keys (measured), because the reduce
-step pays per-GROUP overhead. Grouping by ``node % num_buckets``
-(small, fixed cardinality) and folding each bucket with one vectorized
-``np.unique`` + ``np.add.at`` in ``map_groups`` produces the identical
-table in ~2 s — same exchange volume, same co-location guarantee
-(every row of a node lands in that node's bucket), 50× less reduce
-overhead. The fold is exact int64 and order-independent.
+step pays per-GROUP overhead. Grouping by a hash bucket of the node
+instead, in partitions sized from the partials' row count (at most
+``num_partitions``), and folding each partition with one vectorized
+polars ``group_by`` produces the identical table in ~2 s — same
+exchange volume, same co-location guarantee (every row of a node lands
+in that node's bucket), 50× less reduce overhead. The fold is exact
+int64 and order-independent.
 """
 
 from __future__ import annotations
@@ -82,16 +83,16 @@ DEFAULT_SCALE = 10 ** 12
 _D_NUM, _D_DEN = 85, 100
 
 
-def _bucket_fold_sum(partials, num_buckets: int):
+def _bucket_fold_sum(partials, num_partitions: int):
     """Sum a Dataset of (node:int64, s:int64) partial rows by node →
     Dataset of (node, s), via the shared bucket fold (see module
     docstring and ``functions/fold.py``: identical result to a
     node-keyed ``groupby().aggregate``, ~50× faster at ≥1M distinct
-    nodes in Ray 2.49)."""
+    nodes in Ray 2.49), in at most ``num_partitions`` partitions."""
     from .fold import bucket_fold
 
     return bucket_fold(partials, ["node"], [("s", "sum", "s")],
-                       num_buckets=num_buckets)
+                       num_buckets=num_partitions)
 
 
 def _node_wout_partials(src_col: str, dst_col: str, w_col: str):
@@ -642,10 +643,13 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
 
     Degrees attach to both endpoints by two node-keyed joins
     (:func:`~.fold.join`: broadcast when the node table ≤
-    ``broadcast_limit``, co-partitioned above).
+    ``broadcast_limit``, co-partitioned above). Every exchange is sized
+    from a row count, at most ``num_partitions`` partitions; the wedges
+    are materialized to count them for the closure.
     Node ids must fit 2³¹ (packed-pair contract, asserted).
     """
-    from .fold import bucket_fold, co_attach, join, partition_map
+    from .fold import bucket_fold, co_attach, exchange_width, join, \
+        partition_map
 
     def und_rows(b: pa.Table) -> pa.Table:
         s = np.asarray(b.column(src_col), dtype=np.int64)
@@ -722,8 +726,11 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
             a = c = np.zeros(0, np.int64)
         return pa.table({"a": pa.array(a), "b": pa.array(c)})
 
-    wedges = partition_map(oriented, wedge_group, key="lo",
-                           width=num_partitions)
+    # one oriented row per undirected edge, so und's count sizes it
+    n_und = und.count()
+    wedges = partition_map(
+        oriented, wedge_group, key="lo",
+        width=exchange_width(n_und, num_partitions)).materialize()
 
     # closure: wedges ∩ edges, co-partitioned on the min endpoint;
     # membership is one searchsorted over packed a·2³² + b keys
@@ -738,9 +745,10 @@ def triangle_count(edges, *, src_col: str = "src", dst_col: str = "dst",
         return pa.table({"n": pa.array([hits_n], pa.int64())})
 
     pair = [("a", pa.int64()), ("b", pa.int64())]
-    out = co_attach(und, wedges, close_group, left_key="a", right_key="a",
-                    n_parts=num_partitions, left_schema=pair,
-                    right_schema=pair).sum("n")
+    out = co_attach(
+        und, wedges, close_group, left_key="a", right_key="a",
+        n_parts=exchange_width(n_und + wedges.count(), num_partitions),
+        left_schema=pair, right_schema=pair).sum("n")
     return int(out or 0)
 
 

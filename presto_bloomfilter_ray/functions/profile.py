@@ -84,7 +84,7 @@ def profile_table(ds, columns: Optional[List[str]] = None):
 
 
 def skew_report(ds, key_col: str, *, quantiles=(0.5, 0.9, 0.99),
-                top_k: int = 5, num_buckets: int = 64):
+                top_k: int = 5):
     """Group-size skew diagnostic for a prospective groupby/shuffle
     key: ``(report_row, top_keys)``.
 
@@ -111,7 +111,6 @@ def skew_report(ds, key_col: str, *, quantiles=(0.5, 0.9, 0.99),
     # the projection rides as ``pre``: a select_columns would hide the
     # input's free row count, so the fold could not be count-sized
     counts = bucket_fold(ds, [key_col], [(None, "count", "cnt")],
-                         num_buckets=num_buckets,
                          pre=lambda b: b.select([key_col])).materialize()
     n_keys = counts.count()
     if n_keys == 0:

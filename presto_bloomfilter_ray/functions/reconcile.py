@@ -71,7 +71,6 @@ def dataset_diff(
 
 
 def snapshot_delta(ds_old, ds_new, key_col: str, val_col: str, *,
-                   num_buckets: int = 64,
                    include_unchanged: bool = False):
     """Exact snapshot diff: a Dataset of ``(key_col, status)`` with
     status in ``added`` / ``removed`` / ``changed`` (and ``unchanged``
@@ -138,4 +137,4 @@ def snapshot_delta(ds_old, ds_new, key_col: str, val_col: str, *,
             t = t.filter(pl.col("status") != "unchanged")
         return t.select([key_col, "status"]).to_arrow()
 
-    return exchange(tagged, [key_col], decide, num_buckets=num_buckets)
+    return exchange(tagged, [key_col], decide)

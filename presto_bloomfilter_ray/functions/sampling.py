@@ -202,7 +202,6 @@ def split_by_key(ds, key_col: str, bands, out_col: str = "part"):
 def attach_dup_cluster(ds, id_col: str = "doc_id", text_col: str = "text",
                        out_col: str = "rep",
                        broadcast_limit: int = 2_000_000,
-                       num_buckets: int = 64,
                        num_partitions: int = 32):
     """Attach each row's exact-duplicate cluster representative: the
     MINIMUM ``id_col`` over all rows sharing the same normalized text
@@ -237,8 +236,7 @@ def attach_dup_cluster(ds, id_col: str = "doc_id", text_col: str = "text",
                              batch_size=None)
     winners = bucket_fold(
         with_gh.select_columns(["_gh", id_col]), ["_gh"],
-        [(id_col, "min", out_col)], num_buckets=num_buckets,
-    ).materialize()
+        [(id_col, "min", out_col)]).materialize()
 
     return join(with_gh, winners, on="_gh", how="inner",
                 n_parts=num_partitions, broadcast_limit=broadcast_limit)

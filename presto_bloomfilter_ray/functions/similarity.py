@@ -38,7 +38,7 @@ def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
 
 
 def topk_cosine(ds, query: np.ndarray, k: int = 10, vec_col: str = "embedding",
-                id_col: str = "vec_id", concurrency: Optional[int] = None):
+                id_col: str = "vec_id"):
     """Exact cosine top-k of every row against ONE query vector.
 
     Returns a pandas DataFrame (vec_id, score) of the global top-k,
@@ -58,10 +58,7 @@ def topk_cosine(ds, query: np.ndarray, k: int = 10, vec_col: str = "embedding",
         part = np.argpartition(-sims, top - 1)[:top]
         return pa.table({id_col: pa.array(ids[part]), "score": pa.array(sims[part])})
 
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-    partials = ds.map_batches(local_topk, **kwargs).to_pandas()
+    partials = ds.map_batches(local_topk, batch_format="pyarrow").to_pandas()
     partials = partials.sort_values(["score", id_col], ascending=[False, True])
     return partials.head(k).reset_index(drop=True)
 
@@ -327,7 +324,7 @@ def cosine_neardup_pairs_ivf(ds, threshold: float = 0.99,
 
 
 def cosine_neardup_pairs(ds, threshold: float = 0.99, vec_col: str = "embedding",
-                         id_col: str = "vec_id", concurrency: Optional[int] = None):
+                         id_col: str = "vec_id"):
     """Embedding-cosine near-duplicate pairs (a < b, sim ≥ threshold).
 
     Broadcast design — the small-N fast path: the full normalized
@@ -359,10 +356,7 @@ def cosine_neardup_pairs(ds, threshold: float = 0.99, vec_col: str = "embedding"
         keep = a_ids < b_ids  # dedupe + drop self-pairs
         return pa.table({"a": pa.array(a_ids[keep]), "b": pa.array(b_ids[keep])})
 
-    kwargs = {"batch_format": "pyarrow"}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-    out = ds.map_batches(pairs, **kwargs).to_pandas()
+    out = ds.map_batches(pairs, batch_format="pyarrow").to_pandas()
     if out.empty or "a" not in out.columns:
         import pandas as pd
 

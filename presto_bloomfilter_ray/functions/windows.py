@@ -9,8 +9,8 @@ pre-keyed rows once); the per-key ordered family (lag / cumulative /
 transitions / session) = one :func:`~.fold.exchange` on ``hash(key)``
 with ONE vectorized polars ``sort(key, ts) + over(key)`` pass per call —
 never a Ray group per key (Ray 2.49's per-GROUP reduce overhead is
-~100 s at 1M distinct keys; the bucket shape amortizes it to B
-groups, PERF.md §24/§48).
+~100 s at 1M distinct keys; the bucket shape amortizes it to one
+call per count-sized partition, PERF.md §24/§48).
 
 Late data: a batch table has no lateness — all rows are present; the
 window assignment is deterministic, so re-runs are idempotent.
@@ -112,17 +112,17 @@ def sliding_aggregate(ds, ts_col: str, key_cols: List[str], size_s: int,
 
 def lag_deltas(ds, ts_col: str, key_col: str,
                order_cols: Optional[List[str]] = None,
-               out_col: str = "delta_s", num_buckets: int = 64):
+               out_col: str = "delta_s"):
     """Per-key inter-event gaps in seconds — the ``epoch(ts) -
     epoch(lag(ts) OVER (PARTITION BY key ORDER BY ts[, order_cols]))``
     window shape; each key's first event gets NULL.
 
     Scale shape (shared with `session_windows` / `cumulative_aggregate`
-    / `transition_counts`): group by ``hash(key) % num_buckets`` — NOT
-    the raw key — then ONE vectorized polars ``sort(key, ts) +
-    diff().over(key)`` per bucket. Order semantics are identical to the
-    per-key shape, but reduce overhead is amortized to ``num_buckets``
-    groups instead of one per key (~50× at 1M distinct keys, PERF.md
+    / `transition_counts`): one count-sized :func:`~.fold.exchange` on
+    ``hash(key)`` — NOT the raw key — then ONE vectorized polars
+    ``sort(key, ts) + diff().over(key)`` per partition. Order semantics
+    are identical to the per-key shape, but reduce overhead is
+    amortized to one call per partition instead of one per key (~50× at 1M distinct keys, PERF.md
     §24/§48). Gap arithmetic runs on µs int64 and divides by 1e6
     exactly like the SQL mirror.
     """
@@ -136,21 +136,20 @@ def lag_deltas(ds, ts_col: str, key_col: str,
                  .cast(pl.Float64) / 1e6)
         return t.with_columns(delta.alias(out_col)).to_arrow()
 
-    return exchange(ds, [key_col], gaps, num_buckets=num_buckets)
+    return exchange(ds, [key_col], gaps)
 
 
 def transition_counts(ds, ts_col: str, key_col: str, state_col: str,
-                      order_cols: Optional[List[str]] = None,
-                      num_buckets: int = 64):
+                      order_cols: Optional[List[str]] = None):
     """Per-key state-transition (Markov) counts: for each key's events
     in time order, count (state → next state) pairs — the
     ``lead() OVER (PARTITION BY key ORDER BY ts)`` shape, folded to a
     global (from_state, to_state, n) table.
 
-    Scale shape (see `lag_deltas`): bucket-keyed — each bucket pairs
+    Scale shape (see `lag_deltas`): bucket-keyed — each partition pairs
     consecutive states for ALL its keys in one vectorized polars
     ``shift(-1).over(key)`` and emits its OWN transition counts
-    (≤ states² rows per bucket), so the final ``groupby([from,
+    (≤ states² rows per partition), so the final ``groupby([from,
     to]).sum`` is transition-matrix-sized — never event-sized. States
     are assumed non-null (null next-state marks each key's last event).
     """
@@ -170,21 +169,20 @@ def transition_counts(ds, ts_col: str, key_col: str, state_col: str,
                         pl.col("_to").alias("to_state"), pl.col("n")]))
         return out.to_arrow()
 
-    return (exchange(ds, [key_col], pairs, num_buckets=num_buckets)
+    return (exchange(ds, [key_col], pairs)
             .groupby(["from_state", "to_state"])
             .aggregate(Sum("n", alias_name="n")))
 
 
 def cumulative_aggregate(ds, ts_col: str, key_col: str, value_col: str,
-                         order_cols: Optional[List[str]] = None,
-                         num_buckets: int = 64):
+                         order_cols: Optional[List[str]] = None):
     """Per-key running count and running sum in event-time order — the
     SQL window-function shape ``sum(v) OVER (PARTITION BY key ORDER BY
     ts [, order_cols] ROWS UNBOUNDED PRECEDING)``, emitted as one row
     per input event.
 
     Scale shape (see `lag_deltas`): bucket-keyed, one vectorized polars
-    ``sort(key, ts) + cum_sum().over(key)`` per bucket — the
+    ``sort(key, ts) + cum_sum().over(key)`` per partition — the
     accumulation order within a key is exactly the sort order, so an
     integer value column matches the SQL mirror bit-for-bit (pre-scale
     money to cents for exactness, the `_add_cents` pattern).
@@ -201,7 +199,7 @@ def cumulative_aggregate(ds, ts_col: str, key_col: str, value_col: str,
             pl.col(value_col).cum_sum().over(key_col).alias("running_sum"),
         ).to_arrow()
 
-    return exchange(ds, [key_col], accumulate, num_buckets=num_buckets)
+    return exchange(ds, [key_col], accumulate)
 
 
 def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
@@ -277,19 +275,19 @@ def funnel_counts(ds, ts_col: str, key_col: str, stage_col: str,
 
 
 def session_windows(ds, ts_col: str, key_col: str, gap_s: int,
-                    order_cols: Optional[List[str]] = None,
-                    num_buckets: int = 64):
+                    order_cols: Optional[List[str]] = None):
     """Gap-based sessionization per key.
 
-    Scale shape (see `lag_deltas`): bucket-keyed — each bucket opens a
+    Scale shape (see `lag_deltas`): bucket-keyed — each partition opens a
     new session when a key's gap to its previous event exceeds
     ``gap_s`` (one vectorized polars ``diff().over(key) + cum_sum``),
     then folds sessions with one ``group_by(key, session_id)``. Emits
     (key, session_id, n_events, session_start, session_end); session
     ids are 1-based in ts order — matching a SQL ``sum(is_new) over
     (partition by key order by ts)`` oracle. Partitioning assumption:
-    one key's events fit one bucket task (true for per-user web logs;
-    raise ``num_buckets`` to shrink bucket tasks).
+    one key's events fit one partition task (true for per-user web
+    logs; the exchange is sized from the row count, one partition per
+    ``fold.ROWS_PER_PART`` rows).
     """
     import polars as pl
 
@@ -311,4 +309,4 @@ def session_windows(ds, ts_col: str, key_col: str, gap_s: int,
                         "session_start", "session_end"]))
         return out.to_arrow()
 
-    return exchange(ds, [key_col], sessionize, num_buckets=num_buckets)
+    return exchange(ds, [key_col], sessionize)

@@ -55,8 +55,7 @@ def _expand(paths: Union[str, Sequence[str]]) -> List[str]:
     return out
 
 
-def build_zonemap(paths: Union[str, Sequence[str]], column: str,
-                  concurrency: Optional[int] = None) -> pa.Table:
+def build_zonemap(paths: Union[str, Sequence[str]], column: str) -> pa.Table:
     """Per-row-group (path, row_group, vmin, vmax, has_stats,
     num_rows) for one flat ``column``, from footers only.
 
@@ -104,11 +103,8 @@ def build_zonemap(paths: Union[str, Sequence[str]], column: str,
             "num_rows": pa.array(rows["num_rows"], type=pa.int64()),
         })
 
-    ds = rd.from_items([{"path": p} for p in files])
-    if concurrency:
-        ds = ds.repartition(concurrency)
-    parts = ds.map_batches(footer_stats, batch_format="pyarrow",
-                           batch_size=64).to_arrow_refs()
+    parts = rd.from_items([{"path": p} for p in files]).map_batches(
+        footer_stats, batch_format="pyarrow", batch_size=64).to_arrow_refs()
     import ray as _ray
 
     tables = [t for t in _ray.get(parts) if t.num_rows]

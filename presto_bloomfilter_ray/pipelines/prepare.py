@@ -15,10 +15,10 @@ operators in their documented scale configurations:
 5. **Per-host cap**: two-phase partial top-k so hot domains can't
    dominate the mix (``cap_per_key``).
 
-Every stage streams; the only materializations are the ones the dedup
-stages already require. ``collect_metrics=True`` additionally counts
-rows after each stage (one metadata pass per stage on the already-
-materialized datasets) and wall-clocks the stages — the per-partition
+Each stage's output is materialized (a block boundary, so the row
+count and the next stage never re-run its lineage; 2.3× on the 1M-doc
+composition, PERF §33), its rows are counted from the materialized
+blocks' metadata, and the stage is wall-clocked — the per-stage
 lineage/metrics surface the north rule asks pipelines to emit.
 
 **Checkpoint/resume** (the north rule's "resumes from per-partition
@@ -36,8 +36,7 @@ that stage and everything after it. The caller owns input identity
 (same ``docs`` between runs), as with any checkpoint contract.
 
 Returns ``(dataset, metrics)`` where metrics is an ordered list of
-``{"stage", "rows", "wall_s", "resumed"}`` records (rows is None when
-``collect_metrics=False`` and the stage was not resumed).
+``{"stage", "rows", "wall_s", "resumed"}`` records.
 """
 
 from __future__ import annotations
@@ -91,9 +90,7 @@ def prepare_corpus(
     host_cap: Optional[int] = None,
     work_dir: Optional[str] = None,
     cc_backend: str = "driver",
-    collect_metrics: bool = True,
     checkpoint_dir: Optional[str] = None,
-    materialize_stages: bool = True,
     keep_stages: str = "all",
 ):
     """Run the five-stage preparation chain over ``docs``.
@@ -138,17 +135,15 @@ def prepare_corpus(
         ).hexdigest()
         t0 = time.time()
         if checkpoint_dir is None:
-            docs = compute(docs)
-            if materialize_stages:
-                # stage outputs are consumed more than once (the metric
-                # count + the next stage); without a block boundary Ray
-                # re-executes the upstream lineage on every consumer.
-                # Materializing pins blocks in the object store (which
-                # spills under pressure) — measured 2.3× on the 1M-doc
-                # composition (PERF §33). checkpoint_dir achieves the
-                # same truncation via on-disk parquet, plus resume.
-                docs = docs.materialize()
-            rows = docs.count() if collect_metrics else None
+            # stage outputs are consumed more than once (the metric
+            # count + the next stage); without a block boundary Ray
+            # re-executes the upstream lineage on every consumer.
+            # Materializing pins blocks in the object store (which
+            # spills under pressure) — measured 2.3× on the 1M-doc
+            # composition (PERF §33). checkpoint_dir achieves the
+            # same truncation via on-disk parquet, plus resume.
+            docs = compute(docs).materialize()
+            rows = docs.count()
             metrics.append({"stage": name, "rows": rows,
                             "wall_s": round(time.time() - t0, 2),
                             "resumed": False})

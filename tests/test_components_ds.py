@@ -96,8 +96,8 @@ def test_minhash_dedup_unknown_backend_raises(ray_session):
 def test_pointer_jumping_beats_diameter(ray_session):
     """Pointer jumping converges path graphs in O(log d) rounds: a
     200-node chain with max_iters=20 (<< diameter) succeeds on both
-    backends; disabling shortcut on the Dataset backend raises instead
-    of silently returning wrong labels."""
+    backends; on the Dataset backend, a max_iters below the rounds the
+    chain needs raises instead of silently returning wrong labels."""
     import ray.data as rd
 
     chain = pd.DataFrame({"a": np.arange(200, dtype=np.int64),
@@ -109,4 +109,4 @@ def test_pointer_jumping_beats_diameter(ray_session):
     assert (dsb["component"] == 0).all() and len(dsb) == 201
     with pytest.raises(RuntimeError, match="converge"):
         connected_components_ds(rd.from_pandas(chain), max_iters=3,
-                                n_parts=4, shortcut=False)
+                                n_parts=4)

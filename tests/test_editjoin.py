@@ -77,8 +77,7 @@ def test_pairs_match_brute_force(ray_session, d):
 
     df = _corpus()
     ds = rd.from_arrow(pa.Table.from_pandas(df)).repartition(3)
-    pairs, stats = edit_distance_pairs(ds, max_dist=d, q=3, n_parts=4,
-                                       num_buckets=8)
+    pairs, stats = edit_distance_pairs(ds, max_dist=d, q=3, n_parts=4)
     got = pairs.to_pandas()
     got_set = set(zip(got["a"].astype(int), got["b"].astype(int),
                       got["dist"].astype(int)))

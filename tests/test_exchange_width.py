@@ -4,11 +4,12 @@ MinHash survivors, SimHash pairs, connected-component labels, MinHash
 index matches, edit-distance pairs, triangle counts, and the
 ``fold.exchange`` reduces of bucket_fold, cap_per_key and
 grouped_sketch are bit-identical whether an input runs as one
-partition or as many. A caller's per-block map passed as ``pre``
-keeps the input's free row count, so prepare_corpus's exchanges are
-count-sized (width 1 on a small input) with the survivors of the
-lazy 64-bucket plan. At width 1, LSH pairing with its verification and
-exact dedup each run as one pass, with the outputs of the wider
+partition or as many. Every exchange is sized from a row count: a
+free one, or over a lazy input the count of its materialized map side,
+so the graph operators and the edit-distance join run width 1 over a
+small lazy input, and prepare_corpus's exchanges are width 1 with or
+without free counts. At width 1, LSH pairing with its verification
+and exact dedup each run as one pass, with the outputs of the wider
 plans."""
 import numpy as np
 import pandas as pd
@@ -168,53 +169,95 @@ def test_index_probe_width_invariant(ray_session, monkeypatch, tmp_path):
     pd.testing.assert_frame_equal(narrow, wide)
 
 
-def _co_widths(monkeypatch, module):
-    """Record the partition count of every ``co_attach`` ``module``
-    runs."""
-    widths = []
-    original = module.co_attach
+def _lazy(df: pd.DataFrame):
+    """``df`` as a Dataset whose row count Ray cannot know without
+    running it."""
+    import ray.data as rd
 
-    def spy(*args, n_parts, **kwargs):
-        widths.append(_pow2(n_parts))
-        return original(*args, n_parts=n_parts, **kwargs)
+    ds = rd.from_pandas(df).map_batches(lambda b: b, batch_format="pyarrow")
+    assert ds._meta_count() is None
+    return ds
 
-    monkeypatch.setattr(module, "co_attach", spy)
-    return widths
+
+def _every_exchange_narrow_and_wide(monkeypatch, run):
+    """``run()`` with every ``partition_map`` at width 1, then again
+    with ``ROWS_PER_PART`` at 1, so every exchange of at least 2 rows
+    spans at least 4 partitions (the callers' caps here are 4)."""
+    widths = _all_widths(monkeypatch)
+    narrow = run()
+    assert widths and set(widths) == {(1, None)}, widths
+    widths.clear()
+    monkeypatch.setattr(fold, "ROWS_PER_PART", 1)
+    wide = run()
+    assert widths and min(w for w, _ in widths) >= 4, widths
+    return narrow, wide
 
 
 def test_edit_pairs_width_invariant(ray_session, monkeypatch):
-    import ray.data as rd
-
-    ds = rd.from_pandas(pd.DataFrame(_corpus()))
-    widths = _co_widths(monkeypatch, editjoin)
+    """The gram count and pairing folds and both verification attaches
+    are count-sized over a lazy input."""
+    ds = _lazy(pd.DataFrame(_corpus()))
     cols = ["a", "b", "dist"]
-    out = {}
-    for n_parts in (1, 8):
-        widths.clear()
-        pairs, stats = editjoin.edit_distance_pairs(
-            ds, max_dist=2, q=4, n_parts=n_parts, num_buckets=8)
-        out[n_parts] = _sorted(pairs.to_pandas(), cols)
-        assert widths == [n_parts, n_parts]
+
+    def run():
+        pairs, stats = editjoin.edit_distance_pairs(ds, max_dist=2, q=4,
+                                                    n_parts=4)
         assert stats["capped_grams"] == 0
-    assert len(out[1]) > 0
-    pd.testing.assert_frame_equal(out[1], out[8])
+        return _sorted(pairs.to_pandas(), cols)
+
+    narrow, wide = _every_exchange_narrow_and_wide(monkeypatch, run)
+    assert len(narrow) > 0
+    pd.testing.assert_frame_equal(narrow, wide)
 
 
 def test_triangle_count_width_invariant(ray_session, monkeypatch):
-    import ray.data as rd
-
     rng = np.random.default_rng(4)
-    edges = pd.DataFrame({"src": rng.integers(0, 60, 600),
-                          "dst": rng.integers(0, 60, 600)})
-    widths = _co_widths(monkeypatch, fold)
-    counts = {}
-    for n in (1, 8):
-        widths.clear()
-        counts[n] = graph.triangle_count(rd.from_pandas(edges),
-                                         num_partitions=n)
-        assert widths == [n]
-    assert counts[1] > 0
-    assert counts[1] == counts[8]
+    edges = _lazy(pd.DataFrame({"src": rng.integers(0, 60, 600),
+                                "dst": rng.integers(0, 60, 600)}))
+    narrow, wide = _every_exchange_narrow_and_wide(
+        monkeypatch, lambda: graph.triangle_count(edges, num_partitions=4))
+    assert narrow > 0
+    assert narrow == wide
+
+
+def _graph_edges(seed=11, n=40, m=240):
+    rng = np.random.default_rng(seed)
+    return pd.DataFrame({"src": rng.integers(0, n, m),
+                         "dst": rng.integers(0, n, m)})
+
+
+_GRAPH_RUNS = {
+    "pagerank": lambda e, lim: graph.pagerank(
+        e, iters=2, broadcast_limit=lim, num_partitions=4),
+    "hits": lambda e, lim: graph.hits(
+        e, iters=2, broadcast_limit=lim, num_partitions=4),
+    "kcore": lambda e, lim: graph.kcore(
+        e, 3, broadcast_limit=lim, num_partitions=4),
+    "bfs": lambda e, lim: graph.bfs_distances(
+        e, [0, 1], max_hops=2, num_partitions=4),
+}
+
+
+@pytest.mark.parametrize("op,tier_limit", [
+    ("pagerank", 2_000_000), ("pagerank", 0), ("hits", 2_000_000),
+    ("hits", 0), ("kcore", 2_000_000), ("kcore", 0), ("bfs", None)],
+    ids=["pagerank-broadcast", "pagerank-dataset", "hits-broadcast",
+         "hits-dataset", "kcore-broadcast", "kcore-sharded", "bfs"])
+def test_graph_exchanges_count_sized_over_lazy_input(ray_session, monkeypatch,
+                                                     op, tier_limit):
+    """Every exchange of the graph operators over a lazy edge input,
+    the per-iteration folds and the dataset tier's joins included,
+    is count-sized: width 1 on a small graph, at least 4 partitions
+    with ``ROWS_PER_PART`` lowered, with equal results."""
+    edges = _lazy(_graph_edges())
+
+    def run():
+        out = _GRAPH_RUNS[op](edges, tier_limit).to_pandas()
+        return _sorted(out.astype("int64"), sorted(out.columns))
+
+    narrow, wide = _every_exchange_narrow_and_wide(monkeypatch, run)
+    assert len(narrow) > 0
+    pd.testing.assert_frame_equal(narrow, wide)
 
 
 def _exchange_widths(monkeypatch):
@@ -247,7 +290,7 @@ def _exchange_narrow_and_wide(monkeypatch, rows, run):
 
 def test_exchange_sized_from_free_count_only(ray_session, monkeypatch):
     """A count Ray knows without running the input sizes the width; a
-    lazy input keeps one partition per bucket over its own blocks."""
+    lazy input is sized from the count of its materialized map side."""
     import ray.data as rd
 
     widths = _exchange_widths(monkeypatch)
@@ -257,7 +300,7 @@ def test_exchange_sized_from_free_count_only(ray_session, monkeypatch):
     assert free._meta_count() == 5_000 and lazy._meta_count() is None
     got = [_sorted(fold.bucket_fold(ds, ["k"], [("v", "sum", "s")])
                    .to_pandas(), ["k", "s"]) for ds in (free, lazy)]
-    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+    assert widths == [(1, None), (1, None)]
     pd.testing.assert_frame_equal(got[0], got[1])
 
 
@@ -350,8 +393,9 @@ def test_bucket_fold_pre_equals_mapped_input(ray_session, monkeypatch):
                                    ["h"], aggs).to_pandas(), cols)
     pd.testing.assert_frame_equal(got, ref)
     assert len(got) == 37
-    # pre keeps the free count: count-sized; the mapped input is lazy
-    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+    # pre keeps the free count; the mapped input is counted after its
+    # map side: both count-sized
+    assert widths == [(1, None), (1, None)]
 
 
 def test_cap_per_key_pre_equals_mapped_input(ray_session, monkeypatch):
@@ -370,7 +414,7 @@ def test_cap_per_key_pre_equals_mapped_input(ray_session, monkeypatch):
         .to_pandas(), cols)
     pd.testing.assert_frame_equal(got, ref)
     assert len(got) == 37 * 4
-    assert widths == [(1, None), (fold.NUM_BUCKETS, 0)]
+    assert widths == [(1, None), (1, None)]
 
 
 def _all_widths(monkeypatch):
@@ -411,9 +455,8 @@ def _prepare_ids(tmp_path):
 def test_prepare_exchanges_width_one_same_survivors(ray_session, monkeypatch,
                                                     tmp_path):
     """Over a small input every exchange of prepare_corpus runs at
-    width 1 (sort-free), and the survivors equal those of the lazy
-    64-bucket plan the exact-dedup and host-cap exchanges ran on when
-    their caller mapped the input first."""
+    width 1 (sort-free), and still does, with the same survivors, when
+    Ray knows no free count (each exchange counts its map side)."""
     from ray.data import Dataset
 
     widths = _all_widths(monkeypatch)
@@ -422,7 +465,7 @@ def test_prepare_exchanges_width_one_same_survivors(ray_session, monkeypatch,
     widths.clear()
     monkeypatch.setattr(Dataset, "_meta_count", lambda self: None)
     lazy_ids, lazy_rows = _prepare_ids(tmp_path / "b")
-    assert widths.count((fold.NUM_BUCKETS, 0)) == 2, widths
+    assert widths and set(widths) == {(1, None)}, widths
     assert ids == lazy_ids and rows == lazy_rows
     # each exchange stage (exact, near, host cap) removes rows
     assert rows[1] > rows[2] > rows[3] > rows[4], rows
@@ -581,8 +624,9 @@ def test_exact_dedup_single_pass_keeps_block_count(ray_session, monkeypatch):
 
 def test_skew_report_and_drift_count_sized(ray_session, monkeypatch):
     """skew_report and categorical_drift project their input inside the
-    fold (``pre``), so a free count sizes the fold to width 1; the
-    results equal the unsized run's."""
+    fold (``pre``), so a free count sizes the fold to width 1; without
+    free counts each fold counts its map side, also width 1, with the
+    same results."""
     import ray.data as rd
     from ray.data import Dataset
 
@@ -604,7 +648,7 @@ def test_skew_report_and_drift_count_sized(ray_session, monkeypatch):
     assert widths == [(1, None)] * 3, widths
     widths.clear()
     monkeypatch.setattr(Dataset, "_meta_count", lambda self: None)
-    unsized = run()
-    assert widths == [(fold.NUM_BUCKETS, 0), (16, 0), (16, 0)], widths
-    for x, y in zip(free, unsized):
+    counted = run()
+    assert widths == [(1, None)] * 3, widths
+    for x, y in zip(free, counted):
         pd.testing.assert_frame_equal(x, y)

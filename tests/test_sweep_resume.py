@@ -1,8 +1,10 @@
 """tools/sweep.py ``--resume``: queries already OK in the ledger are
-skipped and keep their entries; every other query runs again. Needs no
-Ray session."""
+skipped and keep their entries; every other query runs again. Its
+schema-warning counter counts Ray Data's two schema warnings only.
+Needs no Ray session."""
 import importlib.util
 import json
+import logging
 import os
 
 _SWEEP = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -34,3 +36,30 @@ def test_resume_keeps_ok_entries_only(tmp_path):
     assert sweep.to_run(names, (), done) == ["b_q", "c_q", "d_q", "f_q"]
     assert sweep.to_run(names, ("a_", "b_", "f_"), done) == ["b_q", "f_q"]
     assert sweep.to_run(names, (), set()) == names
+
+
+def test_schema_warning_counter_counts_the_two_warnings_only():
+    sweep = _sweep()
+    parent = logging.getLogger("sweep_test_data")
+    child = logging.getLogger("sweep_test_data.execution")
+    parent.setLevel(logging.DEBUG)
+    parent.propagate = False
+    counter = sweep.SchemaWarnings()
+    parent.addHandler(counter)
+    try:
+        child.warning("Operator produced a RefBundle with a different "
+                      "schema than the previous one. Previous schema: "
+                      "k: int64, new schema: .")
+        parent.warning("Failed to hash the schemas (for deduplication): "
+                       "unhashable type: 'dict'")
+        child.warning("Failed to hash the schemas (for deduplication): %s",
+                      "unhashable type: 'dict'")
+        parent.warning("some other warning")
+        child.info("Execution plan of Dataset: ...")
+        assert counter.count == 3
+        counter.count = 0
+        logging.getLogger("sweep_test_other").warning(
+            "Operator produced a RefBundle with a different schema")
+        assert counter.count == 0
+    finally:
+        parent.removeHandler(counter)

@@ -15,9 +15,12 @@ Exits 0 iff every swept query matches. A query still running after
 
 Each query's outcome is also written, as it finishes, to the timing
 ledger ``sweep-<sf>.json`` in the repo root (``<sf>`` is the basename
-of ``sf_dir``): a JSON list of ``{"name", "status", "seconds"}`` with
-status ``OK``, ``FAIL``, ``ERR`` or ``TIMEOUT``. Compare two ledgers
-to see which queries a change made slower.
+of ``sf_dir``): a JSON list of ``{"name", "status", "seconds",
+"schema_warnings"}`` with status ``OK``, ``FAIL``, ``ERR`` or
+``TIMEOUT``. ``schema_warnings`` counts the schema warnings
+(:data:`SCHEMA_WARNINGS`) Ray Data logged in the driver process while
+the query ran. Compare two ledgers to see which queries a change made
+slower, or which query a new warning comes from.
 
 ``--resume`` finishes a sweep that died part-way (a Ray core abort
 takes the driver down with no query at fault): queries already ``OK``
@@ -25,6 +28,7 @@ in the existing ledger keep their entries and are skipped, and every
 other query runs and is appended.
 """
 import json
+import logging
 import os
 import signal
 import sys
@@ -42,8 +46,27 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 QUERY_TIMEOUT_S = 600
 
 
+#: Ray Data's log texts for a block whose schema differs from the
+#: previous block's, and for schemas it could not hash
+SCHEMA_WARNINGS = ("different schema", "Failed to hash the schemas")
+
+
 class QueryTimeout(Exception):
     pass
+
+
+class SchemaWarnings(logging.Handler):
+    """Counts the records whose message holds one of
+    :data:`SCHEMA_WARNINGS`, from the logger it is attached to and the
+    loggers below it."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if any(s in record.getMessage() for s in SCHEMA_WARNINGS):
+            self.count += 1
 
 
 def _on_alarm(signum, frame):
@@ -86,7 +109,10 @@ def main() -> int:
     import duckdb
 
     import ray
+    import ray.data  # noqa: F401 (configures the "ray.data" logger)
 
+    warnings = SchemaWarnings()
+    logging.getLogger("ray.data").addHandler(warnings)
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  log_to_driver=False)
@@ -109,12 +135,14 @@ def main() -> int:
 
     def record(name, status, t0):
         ledger.append({"name": name, "status": status,
-                       "seconds": round(time.time() - t0, 2)})
+                       "seconds": round(time.time() - t0, 2),
+                       "schema_warnings": warnings.count})
         with open(ledger_path + ".tmp", "w") as f:
             json.dump(ledger, f, indent=1)
         os.replace(ledger_path + ".tmp", ledger_path)
     for name in names:
         t0 = time.time()
+        warnings.count = 0
         signal.alarm(QUERY_TIMEOUT_S)
         try:
             res = qs[name](sf)
